@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-self serve race clean bench bench-save bench-server bench-server-save deltacheck slowcheck faultmatrix fuzz-smoke trace-smoke cover scenariocheck corpus
+.PHONY: build test lint lint-self serve race clean bench bench-save bench-server bench-server-save perfbench perfbench-check deltacheck slowcheck faultmatrix fuzz-smoke trace-smoke cover scenariocheck corpus
 
 # Optional analyzer subset for `make lint`, passed straight through to
 # mahjongvet: `make lint RUN=atomicmix` or RUN=shardowner,sendmove.
@@ -60,6 +60,15 @@ bench-server-save: ## record server load numbers in BENCH_server.json
 	$(GO) run ./cmd/mahjongbench -levels 0.5,1,2 -duration 5s -calibrate 2s \
 		| $(GO) run ./cmd/benchjson -o BENCH_server.json
 	@echo wrote BENCH_server.json
+
+# perfbench measures the pipeline users run (parser → pre-analysis →
+# FPG → heap modeler → main solve → clients), here layer by layer with
+# tracing on. Workloads and flags are documented in perfbench/main.go.
+perfbench: ## traced merge-heavy benchmark run: end-to-end and per-layer metrics
+	bash perfbench/run.sh --workload merge-heavy --seed 0 --seconds 10 --trace 1
+
+perfbench-check: ## perfbench's own self-tests (output checks, oracle, report format)
+	cd perfbench && $(GO) test .
 
 deltacheck: ## warm-vs-cold equivalence sweep for the incremental engine (docs/INCREMENTAL.md)
 	$(GO) test -count=1 -run 'TestIncrementalFacade' .

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,4 +172,63 @@ func TestIncrementalFacadeShapeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAbstraction(t, "shape change", abs, coldAbs)
+}
+
+// liveHeap returns the heap bytes still reachable after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDeltaChainLiveHeapFlat: a chain of incremental builds keeps only
+// its newest state alive. Each DeltaState must be collectable once its
+// successor exists, so the post-GC live heap after 20 chained edits
+// stays within a fixed tolerance of the live heap after the first few;
+// a state that pins its predecessor grows it by one whole pre-analysis
+// per edit.
+func TestDeltaChainLiveHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 chained incremental builds")
+	}
+	const (
+		edits   = 20
+		settle  = 4 // edits before the reference measurement
+		slackMB = 8 // tolerated growth over the remaining edits
+		slack   = slackMB << 20
+	)
+	prog, err := mahjong.GenerateBenchmark("luindex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11)) //nolint:gosec // deterministic test
+	_, state, _, err := mahjong.BuildAbstractionDelta(context.Background(), prog, mahjong.AbstractionOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog = nil
+	var ref uint64
+	for i := 1; i <= edits; i++ {
+		next, _, err := delta.RandomEdit(state.Prog, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, state, _, err = mahjong.BuildAbstractionDelta(context.Background(), next, mahjong.AbstractionOptions{}, state)
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if i == settle {
+			ref = liveHeap()
+		}
+	}
+	end := liveHeap()
+	t.Logf("live heap after edit %d: %.1f MB; after edit %d: %.1f MB", settle, float64(ref)/(1<<20), edits, float64(end)/(1<<20))
+	if end > ref+slack {
+		t.Fatalf("live heap grew from %.1f MB to %.1f MB over %d chained edits (tolerance %d MB): states pin their predecessors",
+			float64(ref)/(1<<20), float64(end)/(1<<20), edits-settle, slackMB)
+	}
+	runtime.KeepAlive(state)
 }

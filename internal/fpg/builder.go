@@ -26,19 +26,10 @@ func NewBuilder() *Builder {
 	prog := lang.NewProgram()
 	holderCls := prog.NewClass("$synthetic.Holder", nil)
 	holder := holderCls.NewMethod("alloc", true, nil, nil)
-	g := &Graph{
-		nodeOf:  make(map[*pta.Obj]int),
-		typeOf:  make(map[*lang.Class]int),
-		fieldOf: make(map[*lang.Field]int),
-	}
-	g.Objs = append(g.Objs, nil)
-	g.TypeOf = append(g.TypeOf, NullType)
-	g.Types = append(g.Types, nil)
-	g.Out = append(g.Out, nil)
 	return &Builder{
 		prog:    prog,
 		holder:  holder,
-		g:       g,
+		g:       newGraph(),
 		fields:  make(map[string]*lang.Field),
 		classes: make(map[string]*lang.Class),
 		edges:   make(map[int]map[int][]int),

@@ -1,10 +1,13 @@
 package fpg
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"mahjong/internal/lang"
 	"mahjong/internal/pta"
+	"mahjong/internal/synth"
 )
 
 // buildLinked builds: main allocates Node n1 {next -> Leaf}, Node n2
@@ -150,5 +153,59 @@ func TestNodeLookup(t *testing.T) {
 	}
 	if g.Node(&pta.Obj{}) != -1 {
 		t.Fatal("unknown object should map to -1")
+	}
+}
+
+// countdownCtx is a context whose Err starts reporting cancellation
+// after a fixed number of calls, so a test can tell which poll site
+// observed it.
+type countdownCtx struct {
+	context.Context
+	calls, live int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildContextCancelledWhileMaterializing: cancellation is observed
+// inside the field-fact walk, not only during null completion. With
+// null completion off, the only polls are the entry check and the fact
+// walk's every-1024-base-objects check, so a context that cancels after
+// its first Err call must be caught by the walk.
+func TestBuildContextCancelledWhileMaterializing(t *testing.T) {
+	prof, err := synth.ProfileByName("eclipse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pta.Solve(synth.MustGenerate(prof), pta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[*pta.Obj]bool{}
+	r.FieldPointsTo(func(base *pta.Obj, _ *lang.Field, _ []*pta.Obj) { bases[base] = true })
+	if len(bases) < 1024 {
+		t.Fatalf("subject has %d base objects with field facts; the test needs at least 1024", len(bases))
+	}
+	ctx := &countdownCtx{Context: context.Background(), live: 1}
+	g, err := BuildContext(ctx, r, Options{OmitNullNode: true})
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Fatalf("BuildContext = %v, %v; want a context.Canceled error", g, err)
+	}
+	if ctx.calls != 2 {
+		t.Fatalf("Err called %d times, want 2 (entry check, then the first fact-walk poll)", ctx.calls)
+	}
+
+	// A context that never cancels sees one poll per 1024 base objects.
+	ctx = &countdownCtx{Context: context.Background(), live: 1 << 30}
+	if _, err := BuildContext(ctx, r, Options{OmitNullNode: true}); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + len(bases)/1024; ctx.calls != want {
+		t.Fatalf("Err called %d times over %d base objects, want %d", ctx.calls, len(bases), want)
 	}
 }

@@ -2,6 +2,7 @@ package pta
 
 import (
 	"runtime/debug"
+	"slices"
 
 	"mahjong/internal/bitset"
 	"mahjong/internal/failure"
@@ -211,7 +212,7 @@ func (s *solver) collapse(members []int32) {
 		}
 		mn.pts = bitset.Set{}
 		mn.succ = nil
-		mn.edgeSet = nil
+		mn.copyIdx = nil
 		mn.merged = nil
 	}
 	s.rebuildSucc(rep)
@@ -233,36 +234,51 @@ func (s *solver) collapse(members []int32) {
 }
 
 // rebuildSucc canonicalizes rep's successor list after a merge:
-// targets resolved to representatives, duplicates removed, filter-free
-// self-loops dropped.
+// targets resolved to representatives, duplicates removed (the first
+// occurrence kept, so propagation order is unchanged), filter-free
+// self-loops dropped. A long list is deduplicated against a sorted
+// index of its distinct copy targets, which then becomes the node's
+// copy-target index.
 func (s *solver) rebuildSucc(rep int) {
 	n := &s.nodes[rep]
-	out := n.succ[:0]
-	var set map[edge]struct{}
-	if len(n.succ) > dupEdgeThreshold {
-		set = make(map[edge]struct{}, len(n.succ))
+	long := len(n.succ) > dupEdgeThreshold
+	var idx []int32 // distinct copy targets, ascending (long lists only)
+	var kept []bool // kept[i]: an edge to idx[i] is already in out
+	if long {
+		for _, e := range n.succ {
+			if e.filter == nil {
+				if t := s.find(e.to); t != rep {
+					idx = append(idx, int32(t))
+				}
+			}
+		}
+		slices.Sort(idx)
+		idx = slices.Compact(idx)
+		kept = make([]bool, len(idx))
 	}
+	out := n.succ[:0]
+	var filters []edge // filtered edges kept so far (long lists only)
 	for _, e := range n.succ {
 		e.to = s.find(e.to)
 		if e.to == rep && e.filter == nil {
 			continue
 		}
-		if set != nil {
-			if _, dup := set[e]; dup {
+		switch {
+		case !long:
+			if slices.Contains(out, e) {
 				continue
 			}
-			set[e] = struct{}{}
-		} else {
-			dup := false
-			for _, kept := range out {
-				if kept == e {
-					dup = true
-					break
-				}
-			}
-			if dup {
+		case e.filter == nil:
+			i, _ := slices.BinarySearch(idx, int32(e.to))
+			if kept[i] {
 				continue
 			}
+			kept[i] = true
+		default:
+			if slices.Contains(filters, e) {
+				continue
+			}
+			filters = append(filters, e)
 		}
 		out = append(out, e)
 	}
@@ -271,5 +287,8 @@ func (s *solver) rebuildSucc(rep int) {
 		n.succ[i] = edge{}
 	}
 	n.succ = out
-	n.edgeSet = set
+	n.copyIdx = nil
+	if long {
+		n.copyIdx = &idx
+	}
 }

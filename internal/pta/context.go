@@ -25,6 +25,7 @@ type Context struct {
 	parent *Context // context without the newest element; nil only for the empty context
 	elem   any      // newest element: *lang.Invoke, *Obj or *lang.Class
 	depth  int
+	id     int32 // dense interning number within its table; 0 is the empty context
 }
 
 // Depth returns the number of elements in the context.
@@ -86,7 +87,7 @@ func (t *ContextTable) append1(ctx *Context, elem any) *Context {
 	if c, ok := t.intern[k]; ok {
 		return c
 	}
-	c := &Context{parent: ctx, elem: elem, depth: ctx.depth + 1}
+	c := &Context{parent: ctx, elem: elem, depth: ctx.depth + 1, id: int32(len(t.intern) + 1)}
 	t.intern[k] = c
 	return c
 }
