@@ -54,7 +54,7 @@ type parEngine struct {
 
 	// Distinct filter classes ever attached to an edge; prep extends
 	// each one's mask so workers only ever read masks.
-	filterSeen map[*lang.Class]bool
+	filterSeen []bool // by Class.ID
 	filterList []*lang.Class
 
 	sent, recv atomic.Int64
@@ -90,11 +90,10 @@ func newParEngine(s *solver, workers, threshold int) *parEngine {
 		threshold = defaultParThreshold
 	}
 	e := &parEngine{
-		s:          s,
-		threshold:  threshold,
-		load:       make([]int, workers),
-		shards:     make([]*shardState, workers),
-		filterSeen: make(map[*lang.Class]bool),
+		s:         s,
+		threshold: threshold,
+		load:      make([]int, workers),
+		shards:    make([]*shardState, workers),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shardState{
@@ -118,10 +117,13 @@ func newParEngine(s *solver, workers, threshold int) *parEngine {
 
 // trackFilter records a filter class the first time an edge carries it.
 func (e *parEngine) trackFilter(cls *lang.Class) {
-	if e.filterSeen[cls] {
+	for cls.ID >= len(e.filterSeen) {
+		e.filterSeen = append(e.filterSeen, false)
+	}
+	if e.filterSeen[cls.ID] {
 		return
 	}
-	e.filterSeen[cls] = true
+	e.filterSeen[cls.ID] = true
 	e.filterList = append(e.filterList, cls)
 }
 

@@ -42,13 +42,15 @@ type renumbering struct {
 	// reserved is the total number of reserved ID slots (the tail
 	// region starts here).
 	reserved int
-	// blocks is each class's reserved slot range with its allocation
-	// cursor; nil entry (class absent) sends the object to the tail.
-	blocks map[*lang.Class]*classBlock
-	// spans maps span-eligible filter classes (non-interface, non-array)
-	// to the [lo, hi) ID interval that contains exactly their subtypes'
-	// reserved blocks.
-	spans map[*lang.Class]classSpan
+	// blocks is, by Class.ID, each class's reserved slot range with its
+	// allocation cursor; an empty block (class never allocated) sends
+	// the object to the tail.
+	blocks []classBlock
+	// spans holds, by Class.ID, the [lo, hi) ID interval that contains
+	// exactly a span-eligible filter class's (non-interface, non-array)
+	// subtypes' reserved blocks; numSpans counts the eligible classes.
+	spans    []classSpan
+	numSpans int
 }
 
 type classBlock struct {
@@ -57,6 +59,7 @@ type classBlock struct {
 
 type classSpan struct {
 	lo, hi int
+	ok     bool // the class is span-eligible
 }
 
 // buildRenumbering lays out the reserved blocks for prog under the
@@ -84,8 +87,8 @@ func buildRenumbering(prog *lang.Program, heap HeapModel) *renumbering {
 	}
 
 	r := &renumbering{
-		blocks: make(map[*lang.Class]*classBlock, len(prog.Classes)),
-		spans:  make(map[*lang.Class]classSpan, len(prog.Classes)),
+		blocks: make([]classBlock, len(prog.Classes)),
+		spans:  make([]classSpan, len(prog.Classes)),
 	}
 	cursor := 0
 	// Iterative pre-order DFS; the post frame closes a class's subtree
@@ -104,13 +107,14 @@ func buildRenumbering(prog *lang.Program, heap HeapModel) *renumbering {
 		stack = stack[:len(stack)-1]
 		if f.post {
 			if !f.c.IsInterface && !f.c.IsArray() {
-				r.spans[f.c] = classSpan{lo: lo[f.c], hi: cursor}
+				r.spans[f.c.ID] = classSpan{lo: lo[f.c], hi: cursor, ok: true}
+				r.numSpans++
 			}
 			continue
 		}
 		lo[f.c] = cursor
 		if n := caps[f.c]; n > 0 {
-			r.blocks[f.c] = &classBlock{next: cursor, hi: cursor + n}
+			r.blocks[f.c.ID] = classBlock{next: cursor, hi: cursor + n}
 			cursor += n
 		}
 		stack = append(stack, frame{c: f.c, post: true})
@@ -163,6 +167,9 @@ func classCapacities(prog *lang.Program, heap HeapModel) map[*lang.Class]int {
 // span returns the reserved-ID interval holding exactly filter's
 // subtypes, when filter is span-eligible.
 func (r *renumbering) span(filter *lang.Class) (classSpan, bool) {
-	sp, ok := r.spans[filter]
-	return sp, ok
+	if filter.ID >= len(r.spans) {
+		return classSpan{}, false
+	}
+	sp := r.spans[filter.ID]
+	return sp, sp.ok
 }

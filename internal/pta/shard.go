@@ -354,7 +354,7 @@ func (w *shardState) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set
 		}
 	}
 	w.maskHits++
-	m := s.masks[filter]
+	m := s.masks[filter.ID]
 	return bitset.IntersectInto(&w.scratch, delta, &m.set)
 }
 

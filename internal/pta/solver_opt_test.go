@@ -145,7 +145,11 @@ func TestFilterMasksMatchSubtypeOf(t *testing.T) {
 		if len(s.masks) == 0 {
 			continue // program happened to have no reachable casts
 		}
-		for cls, m := range s.masks {
+		for cid, m := range s.masks {
+			if m == nil {
+				continue
+			}
+			cls := prog.Classes[cid]
 			// upTo indexes the interning log, not the ID space: under
 			// renumbering objects intern into reserved slots out of ID
 			// order, and the log is what mask extension walks.
