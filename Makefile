@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test lint lint-self serve race clean bench bench-save bench-server bench-server-save perfbench perfbench-check deltacheck slowcheck faultmatrix fuzz-smoke trace-smoke cover scenariocheck corpus
 
 # Optional analyzer subset for `make lint`, passed straight through to
-# mahjongvet: `make lint RUN=atomicmix` or RUN=shardowner,sendmove.
+# mahjongvet: `make lint RUN=atomicmix` or RUN=atomicmix,slotbalance.
 RUN ?=
 VETFLAGS := $(if $(RUN),-run $(RUN),)
 
@@ -90,9 +90,8 @@ trace-smoke: ## deterministic span traces: golden exports + span accounting over
 	$(GO) test ./internal/integration -run 'TestTraceExportGolden|TestSpanAccounting' -count=1
 
 # The corpus differential drives every committed adversarial program
-# (testdata/corpus/) through all four A/B axes — mahjong-vs-alloc-site,
-# parallel-vs-sequential, warm-vs-cold incremental, renumber on/off —
-# under the race detector. On a divergence the harness shrinks a minimal
+# (testdata/corpus/) through both A/B axes — mahjong-vs-alloc-site and
+# warm-vs-cold incremental — under the race detector. On a divergence the harness shrinks a minimal
 # reproducer into $(MAHJONG_SCENARIO_ARTIFACTS) (CI uploads that
 # directory). docs/SCENARIO.md has the full story.
 scenariocheck: ## corpus differential + searcher/shrinker acceptance under -race

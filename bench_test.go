@@ -17,13 +17,11 @@ package mahjong_test
 
 import (
 	"testing"
-	"time"
 
 	"mahjong"
 	"mahjong/internal/bench"
 	"mahjong/internal/core"
 	"mahjong/internal/fpg"
-	"mahjong/internal/pta"
 	"mahjong/internal/synth"
 )
 
@@ -68,39 +66,6 @@ func BenchmarkPreAnalysis(b *testing.B) {
 					b.Fatal("no objects")
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkPreAnalysisParallel times the context-insensitive solve
-// sequentially and with the sharded parallel engine (GOMAXPROCS workers
-// + class-contiguous renumbering) in the same iteration, and reports
-// their wall-clock ratio as "parallel-speedup". Values below 1 are
-// expected on single-CPU machines — phases then add coordination
-// without adding parallelism — which is why the CI floor on this metric
-// is gated on GOMAXPROCS >= 2 (TestParallelSpeedupSmoke).
-func BenchmarkPreAnalysisParallel(b *testing.B) {
-	for _, name := range []string{"eclipse", "chart"} {
-		prof, err := synth.ProfileByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog := synth.MustGenerate(prof)
-		b.Run(name, func(b *testing.B) {
-			var seqNS, parNS int64
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, err := pta.Solve(prog, pta.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				seqNS += time.Since(t0).Nanoseconds()
-				t1 := time.Now()
-				if _, err := pta.Solve(prog, pta.Options{Parallel: -1, Renumber: true}); err != nil {
-					b.Fatal(err)
-				}
-				parNS += time.Since(t1).Nanoseconds()
-			}
-			b.ReportMetric(float64(seqNS)/float64(parNS), "parallel-speedup")
 		})
 	}
 }

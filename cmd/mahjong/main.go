@@ -42,8 +42,6 @@ func main() {
 	budgetPairs := flag.Int64("budget-pairs", 0, "resource budget: automata merge pairs (0 = unlimited)")
 	degrade := flag.Bool("degrade", false, "fall back to -heap=alloc-site when building the Mahjong abstraction fails or exhausts its resource budget")
 	workers := flag.Int("workers", 0, "parallel merge workers (0 = GOMAXPROCS)")
-	parallel := flag.Int("parallel", 0, "parallel solver workers: 0 or 1 = sequential, N>=2 = N workers, -1 = GOMAXPROCS")
-	renumber := flag.Bool("renumber", false, "renumber objects contiguously by class for word-range type filtering")
 	verbose := flag.Bool("v", false, "print per-class merge details")
 	cgOut := flag.String("callgraph", "", "write the call graph to this file (.dot or .json by extension)")
 	saveAbs := flag.String("save-abstraction", "", "write the built Mahjong abstraction to this JSON file")
@@ -123,16 +121,14 @@ func main() {
 		MergePairs:  *budgetPairs,
 	}
 	cfg := mahjong.Config{
-		Analysis:      *analysis,
-		Heap:          mahjong.HeapKind(*heap),
-		BudgetWork:    *budget,
-		Resources:     resources,
-		Trace:         tctx,
-		SolverWorkers: *parallel,
-		Renumber:      *renumber,
+		Analysis:   *analysis,
+		Heap:       mahjong.HeapKind(*heap),
+		BudgetWork: *budget,
+		Resources:  resources,
+		Trace:      tctx,
 	}
 	if cfg.Heap == mahjong.HeapMahjong {
-		abs, err := obtainAbstraction(ctx, prog, *loadAbs, *workers, *parallel, *renumber, resources, tctx)
+		abs, err := obtainAbstraction(ctx, prog, *loadAbs, *workers, resources, tctx)
 		switch {
 		case err == nil:
 			cfg.Abstraction = abs
@@ -205,14 +201,6 @@ func printSolverStats(rep *mahjong.Report) {
 		s.PropagatedBits, s.CollapsedSCCs, s.CollapsedNodes, s.SCCPasses)
 	fmt.Printf("solver: %d filter masks built, %d mask-filtered propagations\n",
 		s.FilterMasks, s.FilterMaskHits)
-	if s.RangeFilterHits > 0 {
-		fmt.Printf("solver: %d range-filtered propagations (%d tail objects)\n",
-			s.RangeFilterHits, s.TailObjects)
-	}
-	if s.ShardWorkers > 0 {
-		fmt.Printf("solver: %d shard workers, %d parallel phases, %d cross-shard deltas, %d termination epochs\n",
-			s.ShardWorkers, s.ShardPhases, s.CrossShardDeltas, s.TerminationEpochs)
-	}
 }
 
 // writeCallGraph exports the call graph in the format implied by the
@@ -243,14 +231,12 @@ func degradable(err error) bool {
 
 // obtainAbstraction loads a persisted abstraction when a path is given,
 // otherwise builds one from scratch.
-func obtainAbstraction(ctx context.Context, prog *mahjong.Program, loadPath string, workers, solverWorkers int, renumber bool, resources mahjong.ResourceBudget, tctx mahjong.TraceCtx) (*mahjong.Abstraction, error) {
+func obtainAbstraction(ctx context.Context, prog *mahjong.Program, loadPath string, workers int, resources mahjong.ResourceBudget, tctx mahjong.TraceCtx) (*mahjong.Abstraction, error) {
 	if loadPath == "" {
 		return mahjong.BuildAbstractionContext(ctx, prog, mahjong.AbstractionOptions{
-			Workers:       workers,
-			SolverWorkers: solverWorkers,
-			Renumber:      renumber,
-			Resources:     resources,
-			Trace:         tctx,
+			Workers:   workers,
+			Resources: resources,
+			Trace:     tctx,
 		})
 	}
 	f, err := os.Open(loadPath)

@@ -213,7 +213,9 @@ type levelStats struct {
 	iDone     int // interactive completions
 	rejected  int // gave up after retries
 	cancelled int // our own mid-flight cancels
-	failed    int
+	shed      int // deadline expired while queued
+	deadline  int // deadline expired while running
+	failed    int // every other failure cause (see server.Cause)
 	wedged    int // accepted but never terminal
 	offered   int
 	window    time.Duration
@@ -305,8 +307,10 @@ func runLevel(cfg config, mult, capacity float64) *levelStats {
 				}
 			case v.State == "cancelled" && op >= 0.95:
 				st.cancelled++
-			case v.State == "cancelled":
-				st.failed++ // shed or deadline-cancelled under load
+			case v.Cause == server.CauseShed:
+				st.shed++
+			case v.Cause == server.CauseDeadline:
+				st.deadline++
 			default:
 				st.failed++
 			}
@@ -314,7 +318,7 @@ func runLevel(cfg config, mult, capacity float64) *levelStats {
 	}
 	wg.Wait()
 	st.delta = diff(snapshot(tg.url), base)
-	if acct := st.completed + st.cancelled + st.failed + st.wedged + st.rejected; acct != st.offered {
+	if acct := st.completed + st.cancelled + st.shed + st.deadline + st.failed + st.wedged + st.rejected; acct != st.offered {
 		log.Printf("x%g: accounting mismatch: %d of %d offered jobs unaccounted", mult, st.offered-acct, st.offered)
 	}
 	return st
@@ -388,7 +392,8 @@ func submitOnce(url string, s server.JobSpec) (string, int) {
 }
 
 type jobView struct {
-	State string `json:"state"`
+	State string       `json:"state"`
+	Cause server.Cause `json:"cause"`
 }
 
 // await polls a job to a terminal state.
@@ -464,13 +469,13 @@ func (st *levelStats) benchLine(mult float64) string {
 	return fmt.Sprintf("BenchmarkServerLoad/x%g %d %d ns/op "+
 		"%d p50-ns %d p95-ns %d p99-ns "+
 		"%.2f jobs/s %.2f goodput-jobs/s %.2f interactive-goodput-jobs/s "+
-		"%d offered %d rejected %d shed %d autodegraded %d degraded %d cancelled %d failed %d wedged",
+		"%d offered %d rejected %d shed %d deadline %d autodegraded %d degraded %d cancelled %d failed %d wedged",
 		mult, iters, mean.Nanoseconds(),
 		percentile(st.latencies, 0.50).Nanoseconds(),
 		percentile(st.latencies, 0.95).Nanoseconds(),
 		percentile(st.latencies, 0.99).Nanoseconds(),
 		float64(st.offered)/secs, float64(st.completed)/secs, float64(st.iDone)/secs,
-		st.offered, st.rejected, st.delta.JobsShed, st.delta.JobsAutodegraded,
+		st.offered, st.rejected, st.shed, st.deadline, st.delta.JobsAutodegraded,
 		st.delta.JobsDegraded, st.cancelled, st.failed, st.wedged)
 }
 

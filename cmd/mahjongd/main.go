@@ -72,8 +72,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled; never exposed on -addr)")
 	deltaStates := flag.Int("delta-states", 4, "completed-job analysis states retained for incremental base_job_id resubmissions (-1 = unbounded)")
 	queryBudget := flag.Int64("query-budget", 0, "work cap for POST /jobs/{id}/query demand solves (0 = 200k, -1 = unlimited)")
-	solverWorkers := flag.Int("solver-workers", 0, "parallel solver workers per job (0 or 1 = sequential, N>=2 = N workers, -1 = GOMAXPROCS)")
-	renumber := flag.Bool("renumber", false, "renumber objects contiguously by class for word-range type filtering")
 	version := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
 
@@ -103,12 +101,10 @@ func main() {
 			BitsetWords: *budgetWords,
 			MergePairs:  *budgetPairs,
 		},
-		NoDegrade:     *noDegrade,
-		SlowJob:       *slowJob,
-		DeltaStates:   *deltaStates,
-		QueryBudget:   *queryBudget,
-		SolverWorkers: *solverWorkers,
-		Renumber:      *renumber,
+		NoDegrade:   *noDegrade,
+		SlowJob:     *slowJob,
+		DeltaStates: *deltaStates,
+		QueryBudget: *queryBudget,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

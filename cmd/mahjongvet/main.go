@@ -9,15 +9,13 @@
 // sorted findings as a JSON array for CI tooling. The exit status is 1 when
 // any diagnostic is reported, 2 on a usage or load error.
 //
-// The nine analyzers enforce invariants the compiler cannot see and the
+// The seven analyzers enforce invariants the compiler cannot see and the
 // paper's soundness argument depends on — threaded cancellation (ctxflow),
 // panic-recovery seams (recoverseam), borrowed-bitset discipline
 // (bitsetalias), deterministic persist/export output (mapdeterminism),
 // agreement of the stage registries (stagehook) — plus the dataflow suite
-// built on internal/lint/flow: the parallel solver's owner-writes
-// discipline (shardowner), sync/atomic access consistency (atomicmix),
-// use-after-move of delta sets (sendmove), and scheduler slot / trace span
-// balance (slotbalance). See docs/LINT.md.
+// built on internal/lint/flow: sync/atomic access consistency (atomicmix)
+// and scheduler slot / trace span balance (slotbalance). See docs/LINT.md.
 package main
 
 import (

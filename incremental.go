@@ -129,11 +129,9 @@ func buildPipeline(ctx context.Context, p *Program, opts AbstractionOptions, bas
 	meter := budget.NewMeter(opts.Resources)
 
 	preOpts := pta.Options{
-		Budget:   pta.Budget{Work: opts.PreBudget},
-		Meter:    meter,
-		Trace:    opts.Trace,
-		Parallel: opts.SolverWorkers,
-		Renumber: opts.Renumber,
+		Budget: pta.Budget{Work: opts.PreBudget},
+		Meter:  meter,
+		Trace:  opts.Trace,
 	}
 	t0 := time.Now()
 	var (

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -16,44 +14,19 @@ import (
 )
 
 // The solver's hot-path optimizations (copy-cycle collapsing,
-// class-indexed filter masks, pooled delta sets, object renumbering,
-// and the sharded parallel engine) must be invisible in every result
-// the rest of the pipeline consumes. This file runs alternative solver
-// configurations over real benchmark programs and diffs everything
-// downstream: per-variable points-to sets, client metrics, and the
-// Mahjong merged-object counts.
+// class-indexed filter masks, pooled delta sets) must be invisible in
+// every result the rest of the pipeline consumes. This file runs the
+// naive NoOpt solver over real benchmark programs and diffs everything
+// downstream against the default: per-variable points-to sets, client
+// metrics, and the Mahjong merged-object counts.
 //
-// A cheap always-on check covers one program against the NoOpt and a
-// small parallel configuration; the full sweep — every benchmark, the
-// parallel-vs-sequential axis at workers ∈ {1, 2, GOMAXPROCS} with
-// renumbering — is slow and runs only when MAHJONG_SLOWCHECK is set:
+// A cheap always-on check covers one program; the full sweep over every
+// benchmark is slow and runs only when MAHJONG_SLOWCHECK is set:
 //
 //	MAHJONG_SLOWCHECK=1 go test ./internal/bench -run SolverEquivalence
 
-// variant is one solver configuration checked against the default.
-type variant struct {
-	name string
-	opts pta.Options
-}
-
-func quickVariants() []variant {
-	return []variant{
-		{"noopt", pta.Options{NoOpt: true}},
-		{"workers=2+renumber", pta.Options{Parallel: 2, Renumber: true}},
-	}
-}
-
-func fullVariants() []variant {
-	return append(quickVariants(),
-		variant{"workers=1", pta.Options{Parallel: 1}},
-		variant{"workers=2", pta.Options{Parallel: 2}},
-		variant{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), pta.Options{Parallel: -1}},
-		variant{"renumber", pta.Options{Renumber: true}},
-	)
-}
-
 func TestSolverEquivalenceLuindex(t *testing.T) {
-	checkSolverEquivalence(t, "luindex", quickVariants())
+	checkSolverEquivalence(t, "luindex")
 }
 
 func TestSolverEquivalenceAllBenchmarks(t *testing.T) {
@@ -63,55 +36,12 @@ func TestSolverEquivalenceAllBenchmarks(t *testing.T) {
 	for _, name := range synth.ProfileNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			checkSolverEquivalence(t, name, fullVariants())
+			checkSolverEquivalence(t, name)
 		})
 	}
 }
 
-// TestParallelOwnershipHandoffRace is the runtime half of the
-// shardowner/sendmove static rules. The sharded engine's owner-writes
-// discipline (only a shard's worker writes its //lint:owner-writes
-// fields) and the move-on-handoff of delta bitsets (a set pushed to the
-// drain barrier's //lint:adopts field is never touched again by the
-// sender) are exactly the invariants those analyzers enforce on the
-// source; this test puts their runtime counterparts under the race
-// detector at GOMAXPROCS=4 — a width between the dedicated CI shards
-// at 2 and 8 — so the static rules and the race detector gate the same
-// property from both sides. Without -race it degrades to a plain
-// parallel-vs-sequential equivalence pass.
-func TestParallelOwnershipHandoffRace(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	prof, err := synth.ProfileByName("luindex")
-	if err != nil {
-		t.Fatalf("profile luindex: %v", err)
-	}
-	prog, err := synth.Generate(prof)
-	if err != nil {
-		t.Fatalf("generate luindex: %v", err)
-	}
-	opt, err := pta.Solve(prog, pta.Options{})
-	if err != nil {
-		t.Fatalf("sequential Solve: %v", err)
-	}
-	// Two repetitions vary the goroutine interleavings the detector
-	// observes; renumbering changes which objects land in which shard,
-	// so both layouts exercise the cross-shard handoff queues.
-	for iter := 0; iter < 2; iter++ {
-		for _, v := range []variant{
-			{"workers=4", pta.Options{Parallel: 4}},
-			{"workers=4+renumber", pta.Options{Parallel: 4, Renumber: true}},
-		} {
-			v := v
-			t.Run(fmt.Sprintf("iter%d/%s", iter, v.name), func(t *testing.T) {
-				checkVariant(t, "luindex", prog, opt, v)
-			})
-		}
-	}
-}
-
-func checkSolverEquivalence(t *testing.T, name string, variants []variant) {
+func checkSolverEquivalence(t *testing.T, name string) {
 	t.Helper()
 	prof, err := synth.ProfileByName(name)
 	if err != nil {
@@ -125,19 +55,16 @@ func checkSolverEquivalence(t *testing.T, name string, variants []variant) {
 	if err != nil {
 		t.Fatalf("%s: Solve: %v", name, err)
 	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			checkVariant(t, name, prog, opt, v)
-		})
-	}
+	t.Run("noopt", func(t *testing.T) {
+		checkNoOpt(t, name, prog, opt)
+	})
 }
 
-func checkVariant(t *testing.T, name string, prog *lang.Program, opt *pta.Result, v variant) {
+func checkNoOpt(t *testing.T, name string, prog *lang.Program, opt *pta.Result) {
 	t.Helper()
-	naive, err := pta.Solve(prog, v.opts)
+	naive, err := pta.Solve(prog, pta.Options{NoOpt: true})
 	if err != nil {
-		t.Fatalf("%s: Solve(%s): %v", name, v.name, err)
+		t.Fatalf("%s: Solve(NoOpt): %v", name, err)
 	}
 
 	// Client metrics summarize the call graph, poly-call sites,

@@ -227,79 +227,6 @@ func IntersectInto(dst, a, b *Set) *Set {
 	return dst
 }
 
-// IntersectRangeInto sets dst = a ∩ [lo, hi), reusing dst's backing
-// storage, and returns dst. A nil dst allocates a fresh set; dst must
-// not alias a. It is the word-range counterpart of IntersectInto for
-// contiguously numbered object classes: when same-class objects occupy
-// one ID interval, a class-filter intersection needs no mask set at all
-// — just two partial-word masks and a copy of the words in between.
-func IntersectRangeInto(dst, a *Set, lo, hi int) *Set {
-	if dst == nil {
-		dst = &Set{}
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(a.words)*wordBits {
-		hi = len(a.words) * wordBits
-	}
-	if lo >= hi {
-		dst.Clear()
-		return dst
-	}
-	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	dst.grow(hiWord)
-	count := 0
-	for i := 0; i < loWord; i++ {
-		dst.words[i] = 0
-	}
-	for i := loWord; i <= hiWord; i++ {
-		w := a.words[i]
-		if i == loWord {
-			w &= ^uint64(0) << (uint(lo) % wordBits)
-		}
-		if i == hiWord && hi%wordBits != 0 {
-			w &= (uint64(1) << (uint(hi) % wordBits)) - 1
-		}
-		dst.words[i] = w
-		count += bits.OnesCount64(w)
-	}
-	for i := hiWord + 1; i < len(dst.words); i++ {
-		dst.words[i] = 0
-	}
-	dst.count = count
-	return dst
-}
-
-// OnesInRange returns the number of set bits in [lo, hi). It costs one
-// popcount per touched word; the points-to solver uses it to detect
-// deltas that lie entirely inside (or outside) a class's ID interval
-// and skip the copy IntersectRangeInto would make.
-func (s *Set) OnesInRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.words)*wordBits {
-		hi = len(s.words) * wordBits
-	}
-	if lo >= hi {
-		return 0
-	}
-	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	count := 0
-	for i := loWord; i <= hiWord; i++ {
-		w := s.words[i]
-		if i == loWord {
-			w &= ^uint64(0) << (uint(lo) % wordBits)
-		}
-		if i == hiWord && hi%wordBits != 0 {
-			w &= (uint64(1) << (uint(hi) % wordBits)) - 1
-		}
-		count += bits.OnesCount64(w)
-	}
-	return count
-}
-
 // Intersects reports whether s and other share at least one bit.
 func (s *Set) Intersects(other *Set) bool {
 	if other == nil {

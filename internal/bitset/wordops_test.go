@@ -138,98 +138,6 @@ func TestIntersectInto(t *testing.T) {
 	}
 }
 
-func TestIntersectRangeInto(t *testing.T) {
-	a := setOf(1, 63, 64, 65, 200, 300)
-	if got := IntersectRangeInto(nil, a, 64, 201); !got.Equal(setOf(64, 65, 200)) {
-		t.Fatalf("got=%v", got)
-	}
-	// Word-aligned boundaries.
-	if got := IntersectRangeInto(nil, a, 64, 128); !got.Equal(setOf(64, 65)) {
-		t.Fatalf("aligned got=%v", got)
-	}
-	// Bounds within one word.
-	if got := IntersectRangeInto(nil, a, 1, 2); !got.Equal(setOf(1)) {
-		t.Fatalf("single-word got=%v", got)
-	}
-	// A wide stale dst must be fully overwritten.
-	dst := setOf(5000)
-	if got := IntersectRangeInto(dst, a, 0, 64); got != dst || !got.Equal(setOf(1, 63)) {
-		t.Fatalf("reused dst=%v", got)
-	}
-	// Empty / inverted / out-of-range intervals.
-	if got := IntersectRangeInto(nil, a, 301, 10000); !got.IsEmpty() {
-		t.Fatalf("past-end got=%v", got)
-	}
-	if got := IntersectRangeInto(nil, a, 200, 200); !got.IsEmpty() {
-		t.Fatalf("empty interval got=%v", got)
-	}
-	if got := IntersectRangeInto(nil, a, -5, 2); !got.Equal(setOf(1)) {
-		t.Fatalf("negative lo got=%v", got)
-	}
-	var zero Set
-	if got := IntersectRangeInto(nil, &zero, 0, 100); !got.IsEmpty() {
-		t.Fatalf("zero operand got=%v", got)
-	}
-}
-
-func TestOnesInRange(t *testing.T) {
-	s := setOf(0, 1, 63, 64, 127, 128, 1000)
-	cases := []struct{ lo, hi, want int }{
-		{0, 64, 3},
-		{0, 1, 1},
-		{1, 64, 2},
-		{64, 128, 2},
-		{0, 1001, 7},
-		{1000, 1001, 1},
-		{1001, 2000, 0},
-		{200, 100, 0},
-		{-10, 2, 2},
-		{500, 900, 0},
-	}
-	for _, c := range cases {
-		if got := s.OnesInRange(c.lo, c.hi); got != c.want {
-			t.Fatalf("OnesInRange(%d,%d)=%d, want %d", c.lo, c.hi, got, c.want)
-		}
-	}
-	var zero Set
-	if got := zero.OnesInRange(0, 100); got != 0 {
-		t.Fatalf("zero set OnesInRange=%d", got)
-	}
-}
-
-func TestRangeOpsRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	dst := New(0) // reused, as the solver's scratch is
-	for trial := 0; trial < 200; trial++ {
-		a := New(0)
-		for i := 0; i < 60; i++ {
-			a.Add(rng.Intn(1024))
-		}
-		lo := rng.Intn(1100) - 30
-		hi := lo + rng.Intn(1100)
-		want := map[int]bool{}
-		a.ForEach(func(i int) bool {
-			if i >= lo && i < hi {
-				want[i] = true
-			}
-			return true
-		})
-		got := IntersectRangeInto(dst, a, lo, hi)
-		if got.Len() != len(want) {
-			t.Fatalf("trial %d [%d,%d): len=%d want %d", trial, lo, hi, got.Len(), len(want))
-		}
-		got.ForEach(func(i int) bool {
-			if !want[i] {
-				t.Fatalf("trial %d [%d,%d): stray bit %d", trial, lo, hi, i)
-			}
-			return true
-		})
-		if n := a.OnesInRange(lo, hi); n != len(want) {
-			t.Fatalf("trial %d [%d,%d): OnesInRange=%d want %d", trial, lo, hi, n, len(want))
-		}
-	}
-}
-
 func TestIntersectIntoRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dst := New(0) // reused across trials, as the solver's scratch is

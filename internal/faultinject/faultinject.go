@@ -59,16 +59,6 @@ const (
 	// StageQuery fires when mahjongd answers a demand-driven
 	// /jobs/{id}/query request, before any (bounded) demand solve runs.
 	StageQuery = "server.query"
-	// StageShardSolve fires inside each parallel propagation worker at
-	// the start of a sharded solve phase — while per-shard rings and
-	// cross-shard queues are live. A fault here simulates a worker dying
-	// mid-phase; the engine must stop its siblings and surface the fault
-	// through the coordinator instead of deadlocking termination
-	// detection.
-	StageShardSolve = "pta.shard.solve"
-	// StageRenumber fires before the class-contiguous object renumbering
-	// pass that lays out reserved per-class CSObj ID ranges.
-	StageRenumber = "pta.renumber"
 	// StageAdmit fires during admission control on POST /jobs, after
 	// validation but before the job is enqueued. A fault here rejects
 	// the submission (retriable 503) without creating queue state; it

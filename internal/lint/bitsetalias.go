@@ -22,21 +22,13 @@ import (
 //   - use-after-release: touching a set after passing it to releaseSet —
 //     the set may already be another node's live delta.
 //
-//   - cross-shard escape: passing a borrowed set into a send/push call
-//     (the parallel engine's SPSC shard queues). The receiving worker
-//     adopts a message's set into its OWN pool, so a borrowed set that
-//     crosses a queue ends up owned by two pools on two goroutines — the
-//     sender's caller releases it while the receiver still reads it.
-//     Senders must clone into an owned set (grabSet + Union) first, which
-//     is what the solver's shard workers do.
-//
 // The pool accessors themselves (grabSet, releaseSet) are exempt: they are
 // the ownership boundary the rule protects. Package bitset is exempt too —
 // its methods legitimately return and retain sets they own.
 var BitsetAlias = &Analyzer{
 	Name: "bitsetalias",
 	Doc: "a borrowed *bitset.Set (parameter or pooled delta) must not be retained in a field, " +
-		"returned, sent over a shard queue, or touched after releaseSet",
+		"returned, or touched after releaseSet",
 	Run: runBitsetAlias,
 }
 
@@ -92,39 +84,6 @@ func checkBorrowedParams(pass *Pass, fn *ast.FuncDecl) {
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			// A send/push callee hands its message to another goroutine,
-			// whose worker adopts the set into its own pool. A borrowed set
-			// must not ride along — directly or inside the message literal.
-			name := ""
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-			}
-			if name != "send" && name != "push" {
-				return true
-			}
-			for _, arg := range n.Args {
-				obj := isBorrowedIdent(arg)
-				if obj == nil {
-					if lit, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
-						for _, elt := range lit.Elts {
-							v := elt
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								v = kv.Value
-							}
-							if o := isBorrowedIdent(v); o != nil {
-								obj = o
-							}
-						}
-					}
-				}
-				if obj != nil {
-					pass.Reportf(arg.Pos(), "borrowed *bitset.Set parameter %s crosses a shard-queue send: the receiver adopts the set into its own pool while the lender's caller still releases it — clone into an owned set (grabSet + Union) before sending", obj.Name())
-				}
-			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if obj := isBorrowedIdent(res); obj != nil {

@@ -5,12 +5,10 @@
 // shared-atomic / shared-guarded).
 //
 // The existing analyzer suite (PR 4) is syntactic and type-based; the
-// invariants that now carry correctness — the parallel solver's
-// owner-writes shard discipline, the set-clone handoff over SPSC
-// queues, the sched queue-slot lifecycle — are *dataflow* properties:
-// whether a use follows a move on some path, whether a release is
-// reached on every path, whether a write happens inside the owning
-// worker's call tree. This package gives analyzers the machinery to ask
+// invariants that now carry correctness — the sched queue-slot
+// lifecycle, consistent atomic access — are *dataflow* properties:
+// whether a release is reached on every path, whether a use follows a
+// redefinition. This package gives analyzers the machinery to ask
 // those questions, in the same stdlib-only style as the rest of
 // internal/lint (no x/tools, no SSA: a statement-granular CFG with
 // conditional edges is enough for every rule the suite enforces, and is

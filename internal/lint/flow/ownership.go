@@ -15,8 +15,8 @@ import (
 // Local values were produced here and are exclusively ours (a pool
 // grab, a fresh allocation). Borrowed values belong to a caller for the
 // duration of the call (parameters). Sent values have been moved away —
-// over a shard queue, or into a structure whose owner adopts what is
-// stored in it — and must not be touched again. The two Shared states
+// into a structure whose owner adopts what is stored in it — and must
+// not be touched again. The two Shared states
 // describe struct fields accessed concurrently: SharedGuarded under a
 // mutex, SharedAtomic through sync/atomic. Join takes the maximum:
 // merging control-flow paths keeps the most-escaped state, which is the

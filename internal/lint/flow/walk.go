@@ -8,11 +8,10 @@ import (
 
 // This file is the path-query side of the dataflow layer: forward walks
 // over the CFG from a given node, with analyzer-supplied kill
-// predicates and edge pruning. The two analyses built on it — "does any
-// path from this move reach a use" (sendmove) and "does any path from
-// this acquire reach exit without a release" (slotbalance) — are both
-// may-path existence questions, which a worklist walk answers exactly
-// on the statement-granular graph.
+// predicates and edge pruning. The analysis built on it — "does any path
+// from this acquire reach exit without a release" (slotbalance) — is a
+// may-path existence question, which a worklist walk answers exactly on
+// the statement-granular graph.
 
 // A Walk visits the nodes reachable after a starting node.
 type Walk struct {

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
-	"strings"
 
 	"mahjong/internal/lint/flow"
 )
@@ -11,8 +9,7 @@ import (
 // This file is the bridge between the analyzer framework and the
 // dataflow layer: cached per-function CFGs and reaching-definitions
 // solutions on Package (several analyzers ask for the same function's
-// graph), and the scanner for the declarative //lint: markers the
-// dataflow analyzers key on.
+// graph).
 
 // CFG returns the control-flow graph of fn's body, built on first use
 // and cached for the lifetime of the load.
@@ -52,111 +49,4 @@ func (p *Package) Reaching(fn *ast.FuncDecl) *flow.ReachingDefs {
 	r := flow.Reach(p.CFG(fn), p.Info, params)
 	p.reaches[fn] = r
 	return r
-}
-
-// Declarative dataflow markers. The shard-ownership and move rules need
-// to know which declarations carry which role; rather than hard-coding
-// identifier names, the code under analysis declares them with marker
-// comments, the same way //lint:allow declares suppressions:
-//
-//	//lint:shard-worker       on a type — its methods are the worker
-//	                          call tree of a parallel phase
-//	//lint:owner-writes       on a struct field — during a phase only
-//	                          the owning worker writes it
-//	//lint:phase-sequential   on a function — must never be reachable
-//	                          from a shard worker (it mutates state the
-//	                          phase froze)
-//	//lint:adopts             on a struct field — storing into it
-//	                          transfers ownership of the stored value
-//
-// Text after the marker is free-form justification, encouraged but not
-// required (unlike //lint:allow, a marker adds checking rather than
-// removing it).
-type markers struct {
-	ownedFields map[types.Object]bool
-	adoptFields map[types.Object]bool
-	workerTypes map[*types.Named]bool
-	seqFuncs    map[*types.Func]bool
-}
-
-func (m *markers) empty() bool {
-	return len(m.ownedFields) == 0 && len(m.adoptFields) == 0 &&
-		len(m.workerTypes) == 0 && len(m.seqFuncs) == 0
-}
-
-// hasMarker reports whether any comment in the groups carries
-// //lint:<name>.
-func hasMarker(name string, groups ...*ast.CommentGroup) bool {
-	want := "//lint:" + name
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// collectMarkers scans the package's declarations for dataflow markers.
-func collectMarkers(pass *Pass) *markers {
-	m := &markers{
-		ownedFields: make(map[types.Object]bool),
-		adoptFields: make(map[types.Object]bool),
-		workerTypes: make(map[*types.Named]bool),
-		seqFuncs:    make(map[*types.Func]bool),
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if hasMarker("phase-sequential", decl.Doc) {
-					if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok {
-						m.seqFuncs[fn] = true
-					}
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if hasMarker("shard-worker", decl.Doc, ts.Doc, ts.Comment) {
-						if obj, ok := pass.Info.Defs[ts.Name].(*types.TypeName); ok {
-							if named, ok := obj.Type().(*types.Named); ok {
-								m.workerTypes[named] = true
-							}
-						}
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						owned := hasMarker("owner-writes", field.Doc, field.Comment)
-						adopts := hasMarker("adopts", field.Doc, field.Comment)
-						if !owned && !adopts {
-							continue
-						}
-						for _, name := range field.Names {
-							obj := pass.Info.Defs[name]
-							if obj == nil {
-								continue
-							}
-							if owned {
-								m.ownedFields[obj] = true
-							}
-							if adopts {
-								m.adoptFields[obj] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return m
 }

@@ -113,12 +113,12 @@ func (m *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns mahjongvet's analyzer suite: the five syntactic
-// invariant checks, plus the four concurrency-ownership analyzers built
-// on the internal/lint/flow dataflow layer.
+// invariant checks, plus the two concurrency analyzers built on the
+// internal/lint/flow dataflow layer.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow, RecoverSeam, BitsetAlias, MapDeterminism, StageHook,
-		ShardOwner, AtomicMix, SendMove, SlotBalance,
+		AtomicMix, SlotBalance,
 	}
 }
 

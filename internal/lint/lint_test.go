@@ -24,16 +24,8 @@ func TestMapDeterminism(t *testing.T) {
 	linttest.Run(t, ".", []*lint.Analyzer{lint.MapDeterminism}, "./testdata/src/mapdeterminism")
 }
 
-func TestShardOwner(t *testing.T) {
-	linttest.Run(t, ".", []*lint.Analyzer{lint.ShardOwner}, "./testdata/src/shardowner")
-}
-
 func TestAtomicMix(t *testing.T) {
 	linttest.Run(t, ".", []*lint.Analyzer{lint.AtomicMix}, "./testdata/src/atomicmix")
-}
-
-func TestSendMove(t *testing.T) {
-	linttest.Run(t, ".", []*lint.Analyzer{lint.SendMove}, "./testdata/src/sendmove")
 }
 
 func TestSlotBalance(t *testing.T) {
@@ -125,7 +117,7 @@ func TestAnalyzersWellFormed(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ctxflow", "recoverseam", "bitsetalias", "mapdeterminism", "stagehook",
-		"shardowner", "atomicmix", "sendmove", "slotbalance",
+		"atomicmix", "slotbalance",
 	} {
 		if !seen[want] {
 			t.Errorf("analyzer %s missing from Analyzers()", want)

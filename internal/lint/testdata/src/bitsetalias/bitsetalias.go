@@ -93,46 +93,3 @@ func (p *pool) releaseAndContinue(work []int) int {
 func readOnly(s *bitset.Set) int {
 	return s.Len()
 }
-
-// msg and queue mirror the parallel solver's cross-shard SPSC messages:
-// the receiving worker adopts msg.set into its own pool, so whatever is
-// sent must be owned by the message, never borrowed.
-type msg struct {
-	set *bitset.Set
-	to  int32
-}
-
-type queue struct{ buf []msg }
-
-// push is a queue producer; m.set is owned by the message by contract
-// (msg is not a *bitset.Set parameter, so the retention rules do not
-// apply to it). No finding.
-func (q *queue) push(m msg) { q.buf = append(q.buf, m) }
-
-type worker struct {
-	p   pool
-	out []*queue
-}
-
-// send routes a message to a peer queue. No finding.
-func (w *worker) send(dest int, m msg) { w.out[dest].push(m) }
-
-// sendBorrowedInLiteral leaks a borrowed set across the queue inside the
-// message literal: the receiver will adopt it while our caller releases it.
-func (w *worker) sendBorrowedInLiteral(s *bitset.Set) {
-	w.send(0, msg{set: s}) // want "crosses a shard-queue send"
-}
-
-// pushBorrowedInLiteral is the same escape one level lower, on the queue
-// producer itself.
-func (w *worker) pushBorrowedInLiteral(s *bitset.Set) {
-	w.out[0].push(msg{set: s, to: 7}) // want "crosses a shard-queue send"
-}
-
-// sendClone is the mandated idiom: clone the borrow into an owned set
-// and send that. No finding.
-func (w *worker) sendClone(s *bitset.Set) {
-	owned := w.p.grabSet()
-	owned.Union(s)
-	w.send(0, msg{set: owned})
-}

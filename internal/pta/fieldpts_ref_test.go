@@ -40,9 +40,6 @@ func referenceFieldPointsTo(r *Result, fn func(base *Obj, field *lang.Field, tar
 		})
 	}
 	for id, cs := range s.csobjs {
-		if cs == nil {
-			continue
-		}
 		for _, f := range cs.Obj.Type.InstanceFields() {
 			if n, ok := s.lookupField(id, f); ok {
 				visit(id, f, n)
@@ -137,24 +134,21 @@ func referencePrograms(t *testing.T) map[string]*lang.Program {
 }
 
 // TestFieldPointsToMatchesReference runs the dense walk against the
-// reference on the subjects, the corpus and random programs, with and
-// without renumbering (which leaves nil holes in the CSObj table), and
-// under a context-sensitive selector (several CSObjs per abstract
-// object, merged per field).
+// reference on the subjects, the corpus and random programs, and under
+// a context-sensitive selector (several CSObjs per abstract object,
+// merged per field).
 func TestFieldPointsToMatchesReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves every subject twice")
+		t.Skip("solves every subject")
 	}
 	for name, prog := range referencePrograms(t) {
-		for _, renumber := range []bool{false, true} {
-			r, err := Solve(prog, Options{Renumber: renumber})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertFieldPointsToMatchesReference(t, fmt.Sprintf("%s renumber=%v", name, renumber), r)
+		r, err := Solve(prog, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertFieldPointsToMatchesReference(t, name, r)
 		if strings.HasPrefix(name, "random/") || strings.HasPrefix(name, "corpus/") {
-			r, err := Solve(prog, Options{Selector: KObj{K: 2}, Renumber: true})
+			r, err := Solve(prog, Options{Selector: KObj{K: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}

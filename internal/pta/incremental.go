@@ -723,11 +723,6 @@ func (x *seeder) copyEdges() bool {
 					return false // a filter class the edited program lacks
 				}
 				filter = nc
-				if s.par != nil {
-					// Bulk-copied edges bypass addEdgeIf, so the parallel
-					// engine's filter registry must learn the class here.
-					s.par.trackFilter(filter)
-				}
 			} else {
 				copyEdges++
 			}

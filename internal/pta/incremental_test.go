@@ -12,41 +12,42 @@ import (
 	"mahjong/internal/synth"
 )
 
-// assertSameAnalysis is the incremental A/B gate's comparator: the warm
-// and cold results analyzed the SAME program object, so every fact can
-// be compared through shared lang identities — per-variable points-to
-// sets (as allocation-site labels), the call graph, reachable-method
-// counts, and cast facts.
-func assertSameAnalysis(t *testing.T, tag string, prog *lang.Program, warm, cold *Result) {
+// assertSameAnalysis asserts that two results over the SAME program
+// object agree on every fact, compared through shared lang identities:
+// per-variable points-to sets (as allocation-site labels), the call
+// graph, reachable-method counts, and cast facts. Object and node IDs
+// are not compared. It gates both A/B axes: warm vs cold incremental
+// solves, and the optimized solver vs NoOpt.
+func assertSameAnalysis(t *testing.T, tag string, prog *lang.Program, got, want *Result) {
 	t.Helper()
-	if got, want := warm.NumReachableMethods(), cold.NumReachableMethods(); got != want {
-		t.Fatalf("%s: reachable methods %d (warm) vs %d (cold)", tag, got, want)
+	if g, w := got.NumReachableMethods(), want.NumReachableMethods(); g != w {
+		t.Fatalf("%s: reachable methods %d vs %d", tag, g, w)
 	}
 	for _, m := range prog.Methods {
 		for _, v := range m.Locals {
-			got, want := varSiteLabels(warm, v), varSiteLabels(cold, v)
-			if !equalStrings(got, want) {
-				t.Fatalf("%s: pts(%s.%s) differ:\n warm: %v\n cold: %v", tag, m, v.Name, got, want)
+			g, w := varSiteLabels(got, v), varSiteLabels(want, v)
+			if !equalStrings(g, w) {
+				t.Fatalf("%s: pts(%s.%s) differ:\n got:  %v\n want: %v", tag, m, v.Name, g, w)
 			}
 		}
 	}
-	ge, we := warm.CallGraphEdges(), cold.CallGraphEdges()
+	ge, we := got.CallGraphEdges(), want.CallGraphEdges()
 	if len(ge) != len(we) {
-		t.Fatalf("%s: %d (warm) vs %d (cold) call edges", tag, len(ge), len(we))
+		t.Fatalf("%s: %d vs %d call edges", tag, len(ge), len(we))
 	}
 	for i := range ge {
 		if ge[i] != we[i] {
-			t.Fatalf("%s: call edge %d: %v->%v (warm) vs %v->%v (cold)", tag, i,
+			t.Fatalf("%s: call edge %d: %v->%v vs %v->%v", tag, i,
 				ge[i].Site.Label(), ge[i].Callee, we[i].Site.Label(), we[i].Callee)
 		}
 	}
-	gc, wc := castSets(warm), castSets(cold)
+	gc, wc := castSets(got), castSets(want)
 	if len(gc) != len(wc) {
-		t.Fatalf("%s: %d (warm) vs %d (cold) reachable casts", tag, len(gc), len(wc))
+		t.Fatalf("%s: %d vs %d reachable casts", tag, len(gc), len(wc))
 	}
 	for stmt, labels := range gc {
 		if !equalStrings(labels, wc[stmt]) {
-			t.Fatalf("%s: cast %v incoming differ:\n warm: %v\n cold: %v", tag, stmt, labels, wc[stmt])
+			t.Fatalf("%s: cast %v incoming differ:\n got:  %v\n want: %v", tag, stmt, labels, wc[stmt])
 		}
 	}
 }

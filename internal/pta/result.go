@@ -9,20 +9,15 @@ import (
 )
 
 // CSObjs returns all context-sensitive objects, indexed by their IDs
-// (the bit positions of points-to sets). Under Options.Renumber the
-// slice may contain nil holes — reserved class-block slots no object
-// was ever interned into; points-to bits only ever reference non-nil
-// entries, so consumers that dereference at set bits are unaffected,
-// but a full scan must skip nils.
+// (the bit positions of points-to sets).
 func (r *Result) CSObjs() []*CSObj { return r.solver.csobjs }
 
 // Objs returns the abstract objects the heap model created during the run.
 func (r *Result) Objs() []*Obj { return r.solver.opts.Heap.Objs() }
 
 // NumCSObjs returns the number of context-sensitive objects interned
-// during the run (the non-nil CSObjs entries — not the slice length,
-// which under Options.Renumber includes reserved holes).
-func (r *Result) NumCSObjs() int { return r.solver.numCSObjs }
+// during the run.
+func (r *Result) NumCSObjs() int { return len(r.solver.csobjs) }
 
 // NumNodes returns the number of pointer nodes in the flow graph.
 func (r *Result) NumNodes() int { return len(r.solver.nodes) }
@@ -115,26 +110,22 @@ func (r *Result) WalkFieldPointsTo(fn func(base *Obj, field *lang.Field, targets
 	// Group the CSObjs of each abstract object (counting sort by Obj.ID).
 	numObjs := 0
 	for _, cs := range s.csobjs {
-		if cs != nil && cs.Obj.ID >= numObjs {
+		if cs.Obj.ID >= numObjs {
 			numObjs = cs.Obj.ID + 1
 		}
 	}
 	start := make([]int32, numObjs+1)
 	for _, cs := range s.csobjs {
-		if cs != nil {
-			start[cs.Obj.ID+1]++
-		}
+		start[cs.Obj.ID+1]++
 	}
 	for i := 1; i <= numObjs; i++ {
 		start[i] += start[i-1]
 	}
-	members := make([]int32, s.numCSObjs)
+	members := make([]int32, len(s.csobjs))
 	fill := append([]int32(nil), start[:numObjs]...)
 	for id, cs := range s.csobjs {
-		if cs != nil {
-			members[fill[cs.Obj.ID]] = int32(id)
-			fill[cs.Obj.ID]++
-		}
+		members[fill[cs.Obj.ID]] = int32(id)
+		fill[cs.Obj.ID]++
 	}
 	walk := s.newFieldWalk()
 

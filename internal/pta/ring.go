@@ -13,8 +13,6 @@ type intRing struct {
 	peak int // high-water mark, reported via Stats
 }
 
-func (r *intRing) len() int { return r.n }
-
 // push appends id at the tail, doubling the backing array when full.
 func (r *intRing) push(id int) {
 	if r.n == len(r.buf) {

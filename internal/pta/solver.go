@@ -59,37 +59,11 @@ type Options struct {
 	Meter *budget.Meter
 
 	// NoOpt disables the solver's semantics-preserving optimizations
-	// (copy-cycle collapsing, class-indexed filter masks, object
-	// renumbering, and the parallel engine) and falls back to the naive
-	// propagation strategy. Results are identical, only slower; the
-	// flag exists for A/B equivalence tests and ablation benchmarks.
+	// (copy-cycle collapsing and class-indexed filter masks) and falls
+	// back to the naive propagation strategy. Results are identical,
+	// only slower; the flag exists for A/B equivalence tests and
+	// ablation benchmarks.
 	NoOpt bool
-
-	// Parallel selects the sharded parallel propagation engine: 0 or 1
-	// runs the sequential solver, n >= 2 runs n propagation workers,
-	// and any negative value means one worker per GOMAXPROCS. The
-	// engine alternates sequential graph-growth steps (statement
-	// processing, edge insertion, cycle collapsing) with parallel
-	// propagation phases over a sharded snapshot of the constraint
-	// graph; see docs/PARALLEL.md. Results are equivalent to the
-	// sequential solver up to object/node numbering. NoOpt forces the
-	// sequential path.
-	Parallel int
-
-	// Renumber lays out CSObj IDs class-contiguously (class-hierarchy
-	// pre-order with one reserved ID block per class) instead of in
-	// interning order, densifying points-to bitsets and turning
-	// non-interface class filters into [lo,hi) word-range
-	// intersections. Semantics-preserving: only IDs change, and every
-	// Result accessor reports stable site/label-based views. Ignored
-	// under NoOpt.
-	Renumber bool
-
-	// parThreshold is the minimum sequential worklist length that
-	// triggers a parallel propagation phase; 0 selects the engine
-	// default. Package-private: a test knob to force phase churn on
-	// small synthetic programs.
-	parThreshold int
 
 	// Trace, when enabled, records a "pta.solve" span for the run (with
 	// per-pass "pta.collapse" child spans) carrying the Stats counters
@@ -195,13 +169,10 @@ type castSite struct {
 // class: the set of CSObj IDs whose runtime type is a subtype. It is
 // extended incrementally as csObj interns new objects, so each object
 // pays one SubtypeOf test per distinct filter class instead of one per
-// filtered propagation. upTo indexes s.internLog, not the csobjs slice:
-// under renumbering, objects intern into reserved slots out of ID
-// order, so "which objects are new since last time" is a question about
-// the interning log, not about the tail of the ID space.
+// filtered propagation.
 type classMask struct {
 	set  bitset.Set
-	upTo int // internLog entries indexed so far
+	upTo int // CSObj IDs below upTo are indexed
 }
 
 // Solver runs the analysis. Create one per run via Solve.
@@ -220,22 +191,9 @@ type solver struct {
 	oddFields   map[fieldKey]int32 // field nodes outside the object's layout
 	staticNodes []int32            // by Field.ID: static field node id + 1
 
-	// csobjs maps CSObj ID -> object. Without renumbering it is dense
-	// (IDs are interning order); with renumbering it may carry nil
-	// holes for reserved-but-never-interned slots, which a scan of the
-	// slice must skip.
-	csobjs    []*CSObj
+	csobjs    []*CSObj         // by CSObj ID, which is interning order
 	emptyObjs []int32          // by Obj.ID: empty-heap-context CSObj ID + 1
 	csObjIdx  map[uint64]int32 // packKey(heap context, Obj.ID) → CSObj ID
-	// internLog records CSObj IDs in interning order — the solver's
-	// own discovery order, which renumbering divorces from ID order.
-	// Mask extension and equivalence tests iterate it.
-	internLog []int32
-	numCSObjs int // interned objects (== non-nil csobjs entries)
-	tailObjs  int // objects past the reserved region; >0 disables range filters
-
-	ren *renumbering // nil unless Options.Renumber is in effect
-	par *parEngine   // nil unless Options.Parallel selects >= 2 workers
 
 	emptyReach []bool              // by Method.ID: analyzed under the empty context
 	csReach    map[uint64]struct{} // packKey(ctx, Method.ID) for non-empty contexts
@@ -255,8 +213,8 @@ type solver struct {
 	meterErr   error           // the exhaustion error behind errMeterSentinel
 
 	worklist intRing
-	queued   []bool        //lint:owner-writes sharded by the class-contiguous renumbering during parallel phases
-	pending  []*bitset.Set //lint:owner-writes each worker writes only its shard's entries mid-phase
+	queued   []bool
+	pending  []*bitset.Set
 	freeSets []*bitset.Set // cleared delta sets, reused by grabSet
 
 	// copy-cycle collapsing state (nil/zero under Options.NoOpt)
@@ -364,24 +322,6 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 		s.ctx = ctx
 	}
 	s.meter = opts.Meter
-	if opts.Renumber && !opts.NoOpt {
-		// The renumbering layout must exist before any object interns —
-		// including warm-seeded ones — so it runs ahead of opts.seed.
-		rsp := sp.Ctx().Start(faultinject.StageRenumber)
-		defer rsp.CloseAborted() // no-op on the normal path; closes the span if the seam panics
-		if err := faultinject.Fire(faultinject.StageRenumber); err != nil {
-			rsp.Close(err)
-			return nil, fmt.Errorf("pta: renumbering failed: %w", err)
-		}
-		s.ren = buildRenumbering(prog, opts.Heap)
-		s.csobjs = make([]*CSObj, s.ren.reserved)
-		rsp.Add("reserved_slots", int64(s.ren.reserved))
-		rsp.Add("span_classes", int64(s.ren.numSpans))
-		rsp.End()
-	}
-	if workers := normalizeWorkers(opts.Parallel); workers >= 2 && !opts.NoOpt {
-		s.par = newParEngine(s, workers, opts.parThreshold)
-	}
 	start := time.Now()
 	if opts.Budget.Time > 0 {
 		s.deadline = start.Add(opts.Budget.Time)
@@ -437,16 +377,6 @@ func (s *solver) recordSpan(sp trace.Span) {
 	sp.Add("filter_mask_hits", st.FilterMaskHits)
 	sp.Add("worklist_peak", int64(s.worklist.peak))
 	sp.Add("work", s.work)
-	if s.ren != nil {
-		sp.Add("range_filter_hits", st.RangeFilterHits)
-		sp.Add("tail_objects", int64(s.tailObjs))
-	}
-	if s.par != nil {
-		sp.Add("shard_workers", int64(st.ShardWorkers))
-		sp.Add("shard_phases", int64(st.ShardPhases))
-		sp.Add("cross_shard_deltas", st.CrossShardDeltas)
-		sp.Add("termination_epochs", int64(st.TerminationEpochs))
-	}
 }
 
 // run executes the worklist loop; aborted reports a legacy work-budget
@@ -475,14 +405,6 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 	for {
 		if !s.opts.NoOpt && s.newCopyEdges >= s.sccTrigger {
 			s.collapseCycles()
-		}
-		if s.par != nil && s.worklist.len() >= s.par.threshold {
-			// Enough independent propagation queued up to amortize a
-			// parallel phase: freeze the graph, fan the worklist out to
-			// the shard workers, then fold the deferred graph-growth work
-			// (var-site firing) back into this sequential loop.
-			s.par.runPhase()
-			continue
 		}
 		id, ok := s.worklist.pop()
 		if !ok {
@@ -577,8 +499,6 @@ func (s *solver) pollInterrupt() {
 
 // find resolves a node id to its cycle representative; the identity
 // until the first collapse (and always under NoOpt).
-//
-//lint:phase-sequential path-compresses parent links; the engine flattens the forest pre-phase so workers never need it
 func (s *solver) find(id int) int {
 	if s.reps == nil || id >= s.reps.Len() {
 		return id
@@ -613,8 +533,6 @@ func (s *solver) releaseSet(p *bitset.Set) {
 
 // mask returns filter's class-indexed object mask, extending it over
 // any CSObjs interned since the last use.
-//
-//lint:phase-sequential lazily extends the mask map; prep warms every mask so workers only ever read them
 func (s *solver) mask(filter *lang.Class) *bitset.Set {
 	for filter.ID >= len(s.masks) {
 		s.masks = append(s.masks, nil)
@@ -625,12 +543,12 @@ func (s *solver) mask(filter *lang.Class) *bitset.Set {
 		s.masks[filter.ID] = m
 		s.stats.FilterMasks++
 	}
-	for _, id := range s.internLog[m.upTo:] {
+	for id := m.upTo; id < len(s.csobjs); id++ {
 		if s.csobjs[id].Obj.Type.SubtypeOf(filter) {
-			m.set.Add(int(id))
+			m.set.Add(id)
 		}
 	}
-	m.upTo = len(s.internLog)
+	m.upTo = len(s.csobjs)
 	return &m.set
 }
 
@@ -652,19 +570,6 @@ func (s *solver) filtered(delta *bitset.Set, filter *lang.Class) *bitset.Set {
 		})
 		return out
 	}
-	if s.ren != nil && s.tailObjs == 0 {
-		if sp, ok := s.ren.span(filter); ok {
-			// Renumbering invariant: every subtype of a non-interface,
-			// non-array filter lives in one reserved ID interval, so the
-			// filter is a word-range intersection — and when the whole
-			// delta already lies inside the range, no copy at all.
-			s.stats.RangeFilterHits++
-			if delta.OnesInRange(sp.lo, sp.hi) == delta.Len() {
-				return delta //lint:allow bitsetalias documented borrow passthrough: the delta lies entirely inside the filter's ID range, so the filtered set IS the input
-			}
-			return bitset.IntersectRangeInto(&s.scratch, delta, sp.lo, sp.hi)
-		}
-	}
 	s.stats.FilterMaskHits++
 	return bitset.IntersectInto(&s.scratch, delta, s.mask(filter))
 }
@@ -677,44 +582,20 @@ func (s *solver) newNode(kind nodeKind, info *varInfo) int {
 	return id
 }
 
-// csObj interns the (heap context, object) pair. Under renumbering a
-// context-insensitive object takes the next free slot of its class's
-// reserved ID block; context-sensitive objects (and block overflow from
-// a foreign heap model) take dynamic tail IDs past the reserved region,
-// which disables the range-filter fast path but never affects
-// correctness.
+// csObj interns the (heap context, object) pair; IDs are handed out in
+// interning order.
 func (s *solver) csObj(ctx *Context, o *Obj) int {
 	if id := s.csObjID(ctx, o); id >= 0 {
 		return id
 	}
-	id := -1
-	if s.ren != nil {
-		if ctx == s.emptyHeap {
-			if blk := &s.ren.blocks[o.Type.ID]; blk.next < blk.hi {
-				id = blk.next
-				blk.next++
-			}
-		}
-		if id < 0 {
-			id = len(s.csobjs)
-			s.csobjs = append(s.csobjs, nil)
-			s.tailObjs++
-		}
-		s.csobjs[id] = &CSObj{ID: id, Ctx: ctx, Obj: o}
-	} else {
-		id = len(s.csobjs)
-		s.csobjs = append(s.csobjs, &CSObj{ID: id, Ctx: ctx, Obj: o})
-	}
-	s.numCSObjs++
-	s.internLog = append(s.internLog, int32(id))
+	id := len(s.csobjs)
+	s.csobjs = append(s.csobjs, &CSObj{ID: id, Ctx: ctx, Obj: o})
 	s.recordCSObj(ctx, o, id)
 	return id
 }
 
 // addPts merges set into node id's points-to set, queueing the newly
 // added part for propagation. set is only read, never retained.
-//
-//lint:phase-sequential calls find and the global worklist; workers use localAddPts on owned shards instead
 func (s *solver) addPts(id int, set *bitset.Set) {
 	if set == nil || set.IsEmpty() {
 		return
@@ -740,8 +621,6 @@ func (s *solver) addPts(id int, set *bitset.Set) {
 }
 
 // addPtsOne adds a single object without building a one-bit set.
-//
-//lint:phase-sequential see addPts
 func (s *solver) addPtsOne(id, obj int) {
 	id = s.find(id)
 	wordsBefore := s.nodes[id].pts.Words()
@@ -758,7 +637,6 @@ func (s *solver) addPtsOne(id, obj int) {
 	s.queue(id)
 }
 
-//lint:phase-sequential pushes onto the coordinator's global worklist; workers queue onto their private rings instead
 func (s *solver) queue(id int) {
 	if !s.queued[id] {
 		s.queued[id] = true
@@ -805,12 +683,6 @@ func (s *solver) addEdgeIf(from, to int, filter *lang.Class, replay bool) {
 	if filter == nil {
 		s.stats.CopyEdges++
 		s.newCopyEdges++
-	} else if s.par != nil {
-		// The parallel engine pre-extends every filter's mask before a
-		// phase (workers read masks but never build them), so each
-		// distinct filter class must be on record the moment its first
-		// edge exists.
-		s.par.trackFilter(filter)
 	}
 	if replay && !n.pts.IsEmpty() {
 		s.addPts(to, s.filtered(&n.pts, filter))

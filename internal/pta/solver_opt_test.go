@@ -150,14 +150,10 @@ func TestFilterMasksMatchSubtypeOf(t *testing.T) {
 				continue
 			}
 			cls := prog.Classes[cid]
-			// upTo indexes the interning log, not the ID space: under
-			// renumbering objects intern into reserved slots out of ID
-			// order, and the log is what mask extension walks.
-			if m.upTo > len(s.internLog) {
-				t.Fatalf("seed %d: mask %s covers %d of %d interned objects", seed, cls.Name, m.upTo, len(s.internLog))
+			if m.upTo > len(s.csobjs) {
+				t.Fatalf("seed %d: mask %s covers %d of %d interned objects", seed, cls.Name, m.upTo, len(s.csobjs))
 			}
-			for _, id32 := range s.internLog[:m.upTo] {
-				id := int(id32)
+			for id := range m.upTo {
 				want := s.csobjs[id].Obj.Type.SubtypeOf(cls)
 				if got := m.set.Contains(id); got != want {
 					t.Fatalf("seed %d: mask %s bit %d (%s) = %v, SubtypeOf = %v",
@@ -228,46 +224,7 @@ func TestOptimizedSolverEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: Solve(NoOpt): %v", seed, name, err)
 			}
-
-			if got, want := opt.NumReachableMethods(), naive.NumReachableMethods(); got != want {
-				t.Fatalf("seed %d %s: reachable methods %d vs %d", seed, name, got, want)
-			}
-
-			// Per-variable points-to sets over every local of every method.
-			for _, m := range prog.Methods {
-				for _, v := range m.Locals {
-					got, want := varSiteLabels(opt, v), varSiteLabels(naive, v)
-					if !equalStrings(got, want) {
-						t.Fatalf("seed %d %s: pts(%s.%s) differ:\n opt:   %v\n naive: %v",
-							seed, name, m, v.Name, got, want)
-					}
-				}
-			}
-
-			// Call graph: both edge lists are sorted by stable lang IDs
-			// over the same shared program, so they must match 1:1.
-			ge, we := opt.CallGraphEdges(), naive.CallGraphEdges()
-			if len(ge) != len(we) {
-				t.Fatalf("seed %d %s: %d vs %d call edges", seed, name, len(ge), len(we))
-			}
-			for i := range ge {
-				if ge[i] != we[i] {
-					t.Fatalf("seed %d %s: edge %d: %v->%v vs %v->%v", seed, name, i,
-						ge[i].Site.Label(), ge[i].Callee, we[i].Site.Label(), we[i].Callee)
-				}
-			}
-
-			// Casts: discovery order may differ, so compare as a map.
-			gc, wc := castSets(opt), castSets(naive)
-			if len(gc) != len(wc) {
-				t.Fatalf("seed %d %s: %d vs %d reachable casts", seed, name, len(gc), len(wc))
-			}
-			for stmt, labels := range gc {
-				if !equalStrings(labels, wc[stmt]) {
-					t.Fatalf("seed %d %s: cast %v incoming differ:\n opt:   %v\n naive: %v",
-						seed, name, stmt, labels, wc[stmt])
-				}
-			}
+			assertSameAnalysis(t, fmt.Sprintf("seed %d %s", seed, name), prog, opt, naive)
 		}
 	}
 }

@@ -3,12 +3,7 @@ package pta
 // Stats are the solver's internal performance counters, exposed through
 // Result.Stats for observability (cmd/mahjong -stats, mahjongd
 // /metrics) and for the optimization regression tests. All counters are
-// deterministic for a given program and Options, except under a
-// parallel solve (Options.Parallel >= 2) where scheduling-dependent
-// counters — PropagatedBits, FilterMaskHits, RangeFilterHits,
-// CrossShardDeltas, TerminationEpochs, ShardPhases — vary run to run
-// (the analysis *result* stays equivalent; only how much redundant
-// propagation the schedule produced differs).
+// deterministic for a given program and Options.
 type Stats struct {
 	// Nodes is the number of pointer nodes created (including nodes
 	// later folded into a cycle representative).
@@ -34,32 +29,8 @@ type Stats struct {
 	// intersection instead of per-object subtype tests.
 	FilterMasks    int   `json:"filter_masks"`
 	FilterMaskHits int64 `json:"filter_mask_hits"`
-	// RangeFilterHits counts filtered propagations served by a
-	// renumbered [lo,hi) word-range intersection — cheaper than even a
-	// mask hit, since no mask set is consulted at all.
-	RangeFilterHits int64 `json:"range_filter_hits,omitempty"`
-	// TailObjects counts objects interned past the renumbered reserved
-	// blocks (context-sensitive objects and reserved-block overflow); a
-	// nonzero value disables the range fast path for the whole run.
-	TailObjects int `json:"tail_objects,omitempty"`
 	// WorklistPeak is the high-water mark of the worklist ring.
 	WorklistPeak int `json:"worklist_peak"`
-
-	// Parallel-engine counters; all zero on sequential runs.
-	//
-	// ShardWorkers is the worker count the engine ran with; ShardPhases
-	// the number of parallel propagation phases; CrossShardDeltas the
-	// points-to delta messages exchanged between shards over the SPSC
-	// queues; TerminationEpochs the detector scans summed over phases;
-	// ShardWorklistPeak the high-water mark across per-shard rings.
-	// There is no steal counter: ownership of a node's points-to state
-	// is what makes worker writes lock-free, so the engine deliberately
-	// never steals (see docs/PARALLEL.md).
-	ShardWorkers      int   `json:"shard_workers,omitempty"`
-	ShardPhases       int   `json:"shard_phases,omitempty"`
-	CrossShardDeltas  int64 `json:"cross_shard_deltas,omitempty"`
-	TerminationEpochs int   `json:"termination_epochs,omitempty"`
-	ShardWorklistPeak int   `json:"shard_worklist_peak,omitempty"`
 }
 
 // Stats returns the solver's performance counters for this run.
@@ -67,8 +38,5 @@ func (r *Result) Stats() Stats {
 	st := r.solver.stats
 	st.Nodes = len(r.solver.nodes)
 	st.WorklistPeak = r.solver.worklist.peak
-	if r.solver.ren != nil {
-		st.TailObjects = r.solver.tailObjs
-	}
 	return st
 }

@@ -25,19 +25,18 @@ type Axis interface {
 	Check(ctx context.Context, prog *lang.Program) (string, error)
 }
 
-// StandardAxes returns the four A/B axes:
+// StandardAxes returns the two A/B axes:
 //
 //   - mahjong-vs-allocsite: an *ordering* oracle. The merged heap must
 //     over-approximate the allocation-site baseline on the monotone
 //     clients (call graph, casts, reachability, escape, taint);
 //     nullness is exempt because it is not monotone under merging (see
 //     clients.MayNullLoads).
-//   - parallel-vs-sequential, warm-vs-cold incremental, and renumber
-//     on/off: *equality* oracles — the repo documents all three as
-//     result-identical, so any observable difference in metrics or
-//     result projections is a bug.
+//   - warm-vs-cold incremental: an *equality* oracle — the repo
+//     documents warm and cold solves as result-identical, so any
+//     observable difference in metrics or result projections is a bug.
 func StandardAxes() []Axis {
-	return []Axis{heapAxis{}, parallelAxis{}, incrementalAxis{}, renumberAxis{}}
+	return []Axis{heapAxis{}, incrementalAxis{}}
 }
 
 // Divergence is one axis failure, with the shrunken reproducer when
@@ -153,24 +152,6 @@ func (heapAxis) Check(ctx context.Context, prog *lang.Program) (string, error) {
 	return "", nil
 }
 
-// ---- axis: parallel vs sequential (equality oracle) ----
-
-type parallelAxis struct{}
-
-func (parallelAxis) Name() string { return "parallel-vs-sequential" }
-
-func (parallelAxis) Check(ctx context.Context, prog *lang.Program) (string, error) {
-	seq, err := analysisSignature(ctx, prog, mahjong.Config{Analysis: "2obj", Heap: mahjong.HeapAllocSite, SolverWorkers: 1})
-	if err != nil {
-		return "", err
-	}
-	par, err := analysisSignature(ctx, prog, mahjong.Config{Analysis: "2obj", Heap: mahjong.HeapAllocSite, SolverWorkers: 3})
-	if err != nil {
-		return "", err
-	}
-	return firstDiff("sequential", seq, "parallel", par), nil
-}
-
 // ---- axis: warm vs cold incremental (equality oracle) ----
 
 type incrementalAxis struct{}
@@ -208,31 +189,6 @@ func (incrementalAxis) Check(ctx context.Context, prog *lang.Program) (string, e
 		return "", err
 	}
 	return firstDiff("warm", warm, "cold", cold), nil
-}
-
-// ---- axis: renumber on/off (equality oracle) ----
-
-type renumberAxis struct{}
-
-func (renumberAxis) Name() string { return "renumber" }
-
-func (renumberAxis) Check(ctx context.Context, prog *lang.Program) (string, error) {
-	sig := func(renumber bool) (string, error) {
-		abs, err := mahjong.BuildAbstractionContext(ctx, prog, mahjong.AbstractionOptions{Renumber: renumber})
-		if err != nil {
-			return "", err
-		}
-		return analysisSignature(ctx, prog, mahjong.Config{Analysis: "ci", Heap: mahjong.HeapMahjong, Abstraction: abs, Renumber: renumber})
-	}
-	off, err := sig(false)
-	if err != nil {
-		return "", err
-	}
-	on, err := sig(true)
-	if err != nil {
-		return "", err
-	}
-	return firstDiff("renumber=off", off, "renumber=on", on), nil
 }
 
 // ---- shared projections ----

@@ -29,7 +29,7 @@ func artifactDir(t *testing.T) string {
 }
 
 // TestCorpusDifferential is the main acceptance check for the harness:
-// every committed corpus program must pass all four A/B axes with zero
+// every committed corpus program must pass both A/B axes with zero
 // divergences. On failure, each divergence is shrunk to a minimal
 // reproducer and written to the artifact directory so CI preserves it.
 func TestCorpusDifferential(t *testing.T) {

@@ -18,7 +18,7 @@
 //     paper's NFA/DFA equivalence check, so "divergence depth" here
 //     predicts where the real merge will have to split families.
 //   - shrink.go: a ddmin shrinker over the printed textual IR.
-//   - diff.go: the differential harness (four A/B axes, shrink on
+//   - diff.go: the differential harness (two A/B axes, shrink on
 //     mismatch) that turns searched programs into oracles.
 //   - corpus.go: the committed adversarial corpus and its manifest.
 package scenario

@@ -80,15 +80,8 @@ func boolPtr(b bool) *bool { return &b }
 // the fault, runs the job, and returns the terminal view plus a metrics
 // snapshot taken after the job finished.
 func runCase(t *testing.T, hook faultinject.Hook, spec JobSpec) (view, MetricsSnapshot, *httptest.Server) {
-	return runCaseCfg(t, Config{Workers: 2}, hook, spec)
-}
-
-// runCaseCfg is runCase with a caller-chosen server Config, for faults
-// whose seams only fire under non-default solver settings (the sharded
-// parallel engine, object renumbering).
-func runCaseCfg(t *testing.T, cfg Config, hook faultinject.Hook, spec JobSpec) (view, MetricsSnapshot, *httptest.Server) {
 	t.Helper()
-	_, ts := newTestServer(t, cfg)
+	_, ts := newTestServer(t, Config{Workers: 2})
 	t.Cleanup(faultinject.Clear)
 	faultinject.Set(hook)
 	v := waitJob(t, ts, submit(t, ts, spec))
@@ -178,59 +171,6 @@ func TestFaultMatrix(t *testing.T) {
 		}
 		if snap.StageFailures["pta.collapse"] != 1 {
 			t.Fatalf("stage failures %v, want pta.collapse:1", snap.StageFailures)
-		}
-		assertHealthy(t, ts)
-	})
-
-	t.Run("shard worker panic degrades", func(t *testing.T) {
-		// The shard seam fires inside parallel propagation workers, so the
-		// server must run with SolverWorkers >= 2 and a program big enough
-		// (luindex) to trigger phases. One worker dies; the engine must
-		// stop its siblings instead of deadlocking termination detection,
-		// and the job degrades like any other stage bug.
-		v, snap, ts := runCaseCfg(t, Config{Workers: 2, SolverWorkers: 2, Renumber: true},
-			faultinject.OnStage(faultinject.StageShardSolve, faultinject.Once(faultinject.PanicWith("injected shard worker bug"))),
-			JobSpec{Benchmark: "luindex"})
-		if v.State != StateDone || !v.Degraded {
-			t.Fatalf("state %s degraded %v (error %q), want degraded done", v.State, v.Degraded, v.Error)
-		}
-		if !strings.Contains(v.DegradedCause, "pta.shard.solve") || !strings.Contains(v.DegradedCause, "injected shard worker bug") {
-			t.Fatalf("degraded cause %q does not name the worker stage and panic", v.DegradedCause)
-		}
-		if snap.StageFailures["pta.shard.solve"] != 1 {
-			t.Fatalf("stage failures %v, want pta.shard.solve:1", snap.StageFailures)
-		}
-		assertHealthy(t, ts)
-	})
-
-	t.Run("shard worker budget error degrades", func(t *testing.T) {
-		// The budget arm of the worker-death matrix: exhaustion injected at
-		// the shard seam unwinds through the coordinator as a typed failure
-		// wrapping the sentinel, which the degrade path matches.
-		v, _, ts := runCaseCfg(t, Config{Workers: 2, SolverWorkers: 2},
-			faultinject.OnStage(faultinject.StageShardSolve, faultinject.Once(faultinject.Fail(mahjong.ErrBudgetExhausted))),
-			JobSpec{Benchmark: "luindex"})
-		if v.State != StateDone || !v.Degraded {
-			t.Fatalf("state %s degraded %v (error %q), want degraded done", v.State, v.Degraded, v.Error)
-		}
-		if !strings.Contains(v.DegradedCause, "pta.shard.solve") {
-			t.Fatalf("degraded cause %q does not name pta.shard.solve", v.DegradedCause)
-		}
-		assertHealthy(t, ts)
-	})
-
-	t.Run("renumber panic degrades", func(t *testing.T) {
-		v, snap, ts := runCaseCfg(t, Config{Workers: 2, Renumber: true},
-			faultinject.OnStage(faultinject.StageRenumber, faultinject.Once(faultinject.PanicWith("injected renumber bug"))),
-			JobSpec{IR: matrixIR})
-		if v.State != StateDone || !v.Degraded {
-			t.Fatalf("state %s degraded %v (error %q), want degraded done", v.State, v.Degraded, v.Error)
-		}
-		if !strings.Contains(v.DegradedCause, "pta.renumber") {
-			t.Fatalf("degraded cause %q does not name pta.renumber", v.DegradedCause)
-		}
-		if snap.StageFailures["pta.renumber"] != 1 {
-			t.Fatalf("stage failures %v, want pta.renumber:1", snap.StageFailures)
 		}
 		assertHealthy(t, ts)
 	})

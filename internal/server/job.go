@@ -27,6 +27,25 @@ const (
 	StateCancelled JobState = "cancelled"
 )
 
+// Cause says why a job reached StateFailed or StateCancelled. The set
+// is closed: load harnesses and dashboards bucket terminal jobs by it.
+type Cause string
+
+const (
+	// CauseShed: the deadline expired while the job was still queued.
+	CauseShed Cause = "shed"
+	// CauseDeadline: the deadline expired while the job was running.
+	CauseDeadline Cause = "deadline"
+	// CauseCancelled: a client cancelled the job.
+	CauseCancelled Cause = "cancelled"
+	// CauseRejected: the scheduler refused the job at submission.
+	CauseRejected Cause = "rejected"
+	// CauseShutdown: the server shut down before or while the job ran.
+	CauseShutdown Cause = "shutdown"
+	// CauseError: the pipeline returned an error.
+	CauseError Cause = "error"
+)
+
 // JobSpec is the JSON body of POST /jobs. Exactly one of IR and
 // Benchmark selects the program.
 type JobSpec struct {
@@ -91,6 +110,7 @@ type job struct {
 	mu       sync.Mutex
 	state    JobState
 	errMsg   string
+	cause    Cause // set with every move to StateFailed or StateCancelled
 	cacheHit bool
 	// degraded marks a job that completed on the allocation-site
 	// fallback after the Mahjong pipeline failed; degradedCause records
@@ -180,6 +200,7 @@ type view struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
 	Error     string   `json:"error,omitempty"`
+	Cause     Cause    `json:"cause,omitempty"`
 	Benchmark string   `json:"benchmark,omitempty"`
 	Analysis  string   `json:"analysis"`
 	Heap      string   `json:"heap"`
@@ -230,6 +251,7 @@ func (j *job) view() view {
 		ID:            j.id,
 		State:         j.state,
 		Error:         j.errMsg,
+		Cause:         j.cause,
 		Benchmark:     j.spec.Benchmark,
 		Analysis:      defaulted(j.spec.Analysis, "ci"),
 		Heap:          defaulted(j.spec.Heap, string(mahjong.HeapMahjong)),

@@ -26,8 +26,6 @@ import (
 // without listing it here fails `make lint`.
 var knownStages = []string{
 	faultinject.StageSolve,
-	faultinject.StageShardSolve,
-	faultinject.StageRenumber,
 	faultinject.StageCollapse,
 	faultinject.StageFPG,
 	faultinject.StageModel,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -590,4 +591,99 @@ func TestOverloadPromSeries(t *testing.T) {
 	if !strings.Contains(body, "mahjongd_queue_wait_seconds_count 1") {
 		t.Fatalf("queue-wait histogram did not observe the job's wait:\n%s", body)
 	}
+}
+
+// TestTerminalCauses drives every way a job can end without a result
+// and checks the cause the job view reports for it.
+func TestTerminalCauses(t *testing.T) {
+	expect := func(t *testing.T, v view, state JobState, cause Cause) {
+		t.Helper()
+		if v.State != state || v.Cause != cause {
+			t.Fatalf("job %s: state %s cause %q (error %q), want %s / %q", v.ID, v.State, v.Cause, v.Error, state, cause)
+		}
+	}
+
+	t.Run("shed", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+		release := parkWorkers(t)
+		defer release()
+		submit(t, ts, JobSpec{IR: testIR, Analysis: "ci"})
+		waitRunning(t, srv, 1)
+		expect(t, waitJob(t, ts, submit(t, ts, JobSpec{IR: testIR, Analysis: "ci", TimeoutMS: 50})), StateCancelled, CauseShed)
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{Workers: 1})
+		// The solve seam stalls past the deadline; the solver then sees
+		// the expired job context before it starts.
+		t.Cleanup(faultinject.Clear)
+		faultinject.Set(faultinject.OnStage(faultinject.StageSolve, func(string) error {
+			time.Sleep(300 * time.Millisecond)
+			return nil
+		}))
+		expect(t, waitJob(t, ts, submit(t, ts, JobSpec{IR: testIR, Heap: "alloc-site", TimeoutMS: 100})), StateCancelled, CauseDeadline)
+	})
+
+	t.Run("cancelled and rejected", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+		release := parkWorkers(t)
+		defer release()
+		submit(t, ts, JobSpec{IR: testIR, Analysis: "ci"})
+		waitRunning(t, srv, 1)
+		queued := submit(t, ts, JobSpec{IR: testIR, Analysis: "ci"})
+		// The queue is full: the scheduler refuses the next job, which
+		// stays in the store as a terminal record.
+		if resp, data := postJSON(t, ts.URL+"/jobs", JobSpec{IR: testIR, Analysis: "ci"}); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("over-capacity submission: status %d body %s, want 429", resp.StatusCode, data)
+		}
+		var rejected int
+		for _, j := range srv.store.list() {
+			if v := j.view(); v.State == StateFailed {
+				expect(t, v, StateFailed, CauseRejected)
+				rejected++
+			}
+		}
+		if rejected != 1 {
+			t.Fatalf("%d rejected jobs in the store, want 1", rejected)
+		}
+		if resp, data := postJSON(t, ts.URL+"/jobs/"+queued+"/cancel", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel queued: status %d body %s", resp.StatusCode, data)
+		}
+		expect(t, waitJob(t, ts, queued), StateCancelled, CauseCancelled)
+	})
+
+	t.Run("error", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{Workers: 1})
+		t.Cleanup(faultinject.Clear)
+		faultinject.Set(faultinject.OnStage(faultinject.StageJob, faultinject.Once(faultinject.Fail(errors.New("injected job failure")))))
+		expect(t, waitJob(t, ts, submit(t, ts, JobSpec{IR: testIR})), StateFailed, CauseError)
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		srv := New(Config{Workers: 1, QueueDepth: 4, ShutdownGrace: 30 * time.Millisecond})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		t.Cleanup(srv.Close)
+		release := make(chan struct{})
+		t.Cleanup(faultinject.Clear)
+		faultinject.Set(faultinject.OnStage(faultinject.StageSolve, func(string) error {
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+			return nil
+		}))
+		running := submit(t, ts, JobSpec{IR: testIR, Analysis: "ci"})
+		waitRunning(t, srv, 1)
+		queued := submit(t, ts, JobSpec{IR: testIR, Analysis: "ci"})
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }()
+		<-srv.quit // grace expired and the running job's context is cancelled
+		close(release)
+		<-closed
+		v, _ := pollJob(t, ts, queued)
+		expect(t, v, StateFailed, CauseShutdown)
+		v, _ = pollJob(t, ts, running)
+		expect(t, v, StateCancelled, CauseShutdown)
+	})
 }

@@ -87,18 +87,6 @@ type Config struct {
 	// QueryBudget caps the propagation work of the demand solve behind
 	// POST /jobs/{id}/query; 0 = 200k units, negative = unlimited.
 	QueryBudget int64
-	// SolverWorkers parallelizes each job's points-to solves (the
-	// pre-analysis and the main analysis) across sharded worker
-	// goroutines: 0 or 1 keep the sequential solver, N >= 2 uses N
-	// workers per solve, negative = GOMAXPROCS. Job results are
-	// identical for every setting; see docs/PARALLEL.md. Note the pool
-	// multiplies: Workers jobs in flight each spawn their own solver
-	// shards.
-	SolverWorkers int
-	// Renumber lays each solve's objects out contiguously by class so
-	// type-filtered propagation becomes a word-range intersection. Job
-	// results are identical.
-	Renumber bool
 }
 
 // maxTimeoutMS caps timeout_ms at 24 hours: beyond that a "timeout" is
@@ -237,6 +225,7 @@ func (s *Server) failQueued(items []*sched.Item) {
 		j.mu.Lock()
 		if j.state == StateQueued {
 			j.state = StateFailed
+			j.cause = CauseShutdown
 			j.retriable = true
 			j.errMsg = "server shutting down before the job started; retry against a live server"
 			j.finished = time.Now()
@@ -259,6 +248,7 @@ func (s *Server) shedExpired(it *sched.Item) {
 	j.mu.Lock()
 	if j.state == StateQueued {
 		j.state = StateCancelled
+		j.cause = CauseShed
 		j.errMsg = "deadline expired while queued; job shed before execution"
 		j.finished = time.Now()
 		s.metrics.jobsCancelled.Add(1)
@@ -458,6 +448,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// state so it cannot linger as a zombie "queued" entry.
 		j.mu.Lock()
 		j.state = StateFailed
+		j.cause = CauseRejected
 		j.retriable = true
 		j.errMsg = "rejected at submission: " + err.Error()
 		j.finished = time.Now()
@@ -595,10 +586,21 @@ func (s *Server) runJob(j *job) {
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCancelled
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			j.cause = CauseDeadline
+		case s.closing.Load():
+			// Shutdown cancels every job still running after the grace
+			// period; closing is set before that happens.
+			j.cause = CauseShutdown
+		default:
+			j.cause = CauseCancelled
+		}
 		j.errMsg = err.Error()
 		s.metrics.jobsCancelled.Add(1)
 	default:
 		j.state = StateFailed
+		j.cause = CauseError
 		j.errMsg = err.Error()
 		s.metrics.jobsFailed.Add(1)
 	}
@@ -739,12 +741,10 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	degrade := s.degradeEnabled(j.spec)
 	resources := s.budgetFor(j.spec)
 	cfg := mahjong.Config{
-		Analysis:      j.spec.Analysis,
-		Heap:          mahjong.HeapKind(defaulted(j.spec.Heap, string(mahjong.HeapMahjong))),
-		BudgetWork:    j.spec.BudgetWork,
-		Resources:     resources,
-		SolverWorkers: s.cfg.SolverWorkers,
-		Renumber:      s.cfg.Renumber,
+		Analysis:   j.spec.Analysis,
+		Heap:       mahjong.HeapKind(defaulted(j.spec.Heap, string(mahjong.HeapMahjong))),
+		BudgetWork: j.spec.BudgetWork,
+		Resources:  resources,
 	}
 	if j.autoDegraded && cfg.Heap == mahjong.HeapMahjong {
 		// The admission controller already downgraded this batch job
@@ -852,10 +852,8 @@ func (s *Server) abstractionFor(ctx context.Context, j *job, prog *mahjong.Progr
 				}
 			}
 			abs, next, out, err := mahjong.BuildAbstractionDelta(ctx, prog, mahjong.AbstractionOptions{
-				Resources:     resources,
-				Trace:         tc,
-				SolverWorkers: s.cfg.SolverWorkers,
-				Renumber:      s.cfg.Renumber,
+				Resources: resources,
+				Trace:     tc,
 			}, base)
 			if err != nil {
 				return nil, err
@@ -985,6 +983,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	switch j.state {
 	case StateQueued:
 		j.state = StateCancelled
+		j.cause = CauseCancelled
 		j.errMsg = "cancelled before execution"
 		j.finished = time.Now()
 		s.metrics.jobsCancelled.Add(1)

@@ -108,17 +108,6 @@ type AbstractionOptions struct {
 	OmitNullNode bool
 	// PreBudget caps the pre-analysis (0 = unlimited).
 	PreBudget int64
-	// SolverWorkers parallelizes the pre-analysis solver's propagation
-	// across sharded worker goroutines: 0 or 1 keep the sequential
-	// solver, N >= 2 uses N workers, and a negative value uses
-	// GOMAXPROCS. Results are identical for every setting; see
-	// docs/PARALLEL.md.
-	SolverWorkers int
-	// Renumber lays context-insensitive objects out contiguously by
-	// class-hierarchy pre-order so type-filtered propagation becomes a
-	// word-range intersection. Results are identical; only the solver's
-	// internal object numbering changes.
-	Renumber bool
 	// Resources caps what the whole pipeline (pre-analysis, FPG, heap
 	// modeler) may consume; exhaustion aborts with an error wrapping
 	// ErrBudgetExhausted. Zero value = unlimited.
@@ -265,15 +254,6 @@ type Config struct {
 	// failure: AnalyzeContext returns an error wrapping
 	// ErrBudgetExhausted and no Report.
 	Resources ResourceBudget
-	// SolverWorkers parallelizes the solver's propagation across sharded
-	// worker goroutines: 0 or 1 keep the sequential solver, N >= 2 uses
-	// N workers, and a negative value uses GOMAXPROCS. Results are
-	// identical for every setting; see docs/PARALLEL.md.
-	SolverWorkers int
-	// Renumber lays context-insensitive objects out contiguously by
-	// class-hierarchy pre-order so type-filtered propagation becomes a
-	// word-range intersection. Results are identical.
-	Renumber bool
 	// Trace, when enabled, records a "pta.solve" span for the main
 	// analysis and a "clients.evaluate" span for client evaluation. The
 	// zero value disables tracing; see AbstractionOptions.Trace.
@@ -340,8 +320,6 @@ func AnalyzeContext(ctx context.Context, p *Program, cfg Config) (*Report, error
 		Budget:   pta.Budget{Work: cfg.BudgetWork, Time: cfg.BudgetTime},
 		Meter:    budget.NewMeter(cfg.Resources),
 		Trace:    cfg.Trace,
-		Parallel: cfg.SolverWorkers,
-		Renumber: cfg.Renumber,
 	})
 	if err != nil {
 		return nil, err
