@@ -197,8 +197,7 @@ func printSolverStats(rep *mahjong.Report) {
 	s := rep.Solver
 	fmt.Printf("solver: %d nodes, %d edges (%d copy), worklist peak %d\n",
 		s.Nodes, s.Edges, s.CopyEdges, s.WorklistPeak)
-	fmt.Printf("solver: %d propagated facts, %d copy cycles collapsed (%d nodes folded, %d passes)\n",
-		s.PropagatedBits, s.CollapsedSCCs, s.CollapsedNodes, s.SCCPasses)
+	fmt.Printf("solver: %d propagated facts\n", s.PropagatedBits)
 	fmt.Printf("solver: %d filter masks built, %d mask-filtered propagations\n",
 		s.FilterMasks, s.FilterMaskHits)
 }

@@ -13,9 +13,9 @@ import (
 	"mahjong/internal/synth"
 )
 
-// The solver's hot-path optimizations (copy-cycle collapsing,
-// class-indexed filter masks, pooled delta sets) must be invisible in
-// every result the rest of the pipeline consumes. This file runs the
+// The solver's hot-path optimizations (class-indexed filter masks,
+// pooled delta sets) must be invisible in every result the rest of the
+// pipeline consumes. This file runs the
 // naive NoOpt solver over real benchmark programs and diffs everything
 // downstream against the default: per-variable points-to sets, client
 // metrics, and the Mahjong merged-object counts.

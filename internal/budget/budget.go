@@ -85,7 +85,7 @@ func (m *Meter) AddFacts(n int64) error {
 }
 
 // AddWords adjusts the live bitset-word gauge by n (negative to credit
-// freed storage, e.g. after a cycle collapse).
+// freed storage).
 func (m *Meter) AddWords(n int64) error {
 	if m == nil || m.limits.BitsetWords <= 0 {
 		return nil

@@ -30,9 +30,6 @@ const (
 	// StageSolve fires at the entry of every points-to solve
 	// (pre-analysis and main analysis alike).
 	StageSolve = "pta.solve"
-	// StageCollapse fires at the start of each copy-cycle condensation
-	// pass, i.e. while the solver's Tarjan state is about to be live.
-	StageCollapse = "pta.collapse"
 	// StageFPG fires at the entry of field points-to graph construction.
 	StageFPG = "fpg.build"
 	// StageModel fires at the entry of the heap modeler.

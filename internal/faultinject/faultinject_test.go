@@ -92,18 +92,18 @@ func TestTimes(t *testing.T) {
 // code can run, so Fire tags the panic with the seam's stage itself.
 func TestFireTagsHookPanics(t *testing.T) {
 	t.Cleanup(Clear)
-	Set(OnStage(StageCollapse, PanicWith("injected bug")))
+	Set(OnStage(StageFPG, PanicWith("injected bug")))
 	defer func() {
 		r := recover()
 		ie, ok := r.(*failure.InternalError)
 		if !ok {
 			t.Fatalf("want *failure.InternalError panic, got %T %v", r, r)
 		}
-		if ie.Stage != StageCollapse {
-			t.Fatalf("panic tagged %q, want %q", ie.Stage, StageCollapse)
+		if ie.Stage != StageFPG {
+			t.Fatalf("panic tagged %q, want %q", ie.Stage, StageFPG)
 		}
 	}()
-	Fire(StageCollapse)
+	Fire(StageFPG)
 	t.Fatal("Fire did not panic")
 }
 

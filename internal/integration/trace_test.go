@@ -145,37 +145,11 @@ func TestSpanAccounting(t *testing.T) {
 			wantCounter(t, snap, main, "nodes", int64(st.Nodes))
 			wantCounter(t, snap, main, "edges", int64(st.Edges))
 			wantCounter(t, snap, main, "copy_edges", int64(st.CopyEdges))
-			wantCounter(t, snap, main, "collapsed_sccs", int64(st.CollapsedSCCs))
-			wantCounter(t, snap, main, "collapsed_nodes", int64(st.CollapsedNodes))
-			wantCounter(t, snap, main, "scc_passes", int64(st.SCCPasses))
 			wantCounter(t, snap, main, "propagated_bits", st.PropagatedBits)
 			wantCounter(t, snap, main, "filter_masks", int64(st.FilterMasks))
 			wantCounter(t, snap, main, "filter_mask_hits", st.FilterMaskHits)
 			wantCounter(t, snap, main, "worklist_peak", int64(st.WorklistPeak))
 			wantCounter(t, snap, main, "work", rep.Work)
-
-			// Per-pass collapse children sum to the parent's totals.
-			for _, solve := range solves {
-				var sccs, nodes int64
-				passes := 0
-				for _, c := range childrenOf(snap, solve) {
-					if snap.Spans[c].Stage != faultinject.StageCollapse {
-						continue
-					}
-					passes++
-					v, _ := snap.Spans[c].Counter("collapsed_sccs")
-					sccs += v
-					v, _ = snap.Spans[c].Counter("collapsed_nodes")
-					nodes += v
-				}
-				wantSCCs, _ := snap.Spans[solve].Counter("collapsed_sccs")
-				wantNodes, _ := snap.Spans[solve].Counter("collapsed_nodes")
-				wantPasses, _ := snap.Spans[solve].Counter("scc_passes")
-				if sccs != wantSCCs || nodes != wantNodes || int64(passes) != wantPasses {
-					t.Errorf("collapse children of solve#%d sum to sccs=%d nodes=%d passes=%d, parent says %d/%d/%d",
-						solve, sccs, nodes, passes, wantSCCs, wantNodes, wantPasses)
-				}
-			}
 
 			// Heap-modeling counters match the built abstraction, and the
 			// per-worker equivalence spans sum to the parent's merge_pairs.
@@ -274,15 +248,8 @@ func TestTracePanicPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cycle collapsing needs a program with copy cycles; the synthetic
-	// pmd benchmark reliably triggers collapse passes.
-	collapseProg, err := mahjong.GenerateBenchmark("pmd")
-	if err != nil {
-		t.Fatal(err)
-	}
 	stages := []string{
 		faultinject.StageSolve,
-		faultinject.StageCollapse,
 		faultinject.StageFPG,
 		faultinject.StageModel,
 		faultinject.StageEquiv,
@@ -290,10 +257,6 @@ func TestTracePanicPaths(t *testing.T) {
 	}
 	for _, stage := range stages {
 		t.Run(stage, func(t *testing.T) {
-			prog := prog
-			if stage == faultinject.StageCollapse {
-				prog = collapseProg
-			}
 			t.Cleanup(faultinject.Clear)
 			faultinject.Set(faultinject.OnStage(stage, faultinject.Once(faultinject.PanicWith("injected: "+stage))))
 			tracer := trace.New()
@@ -302,12 +265,7 @@ func TestTracePanicPaths(t *testing.T) {
 				Trace:   tracer.Root(),
 			})
 			if err == nil && stage != faultinject.StageClients {
-				// Collapse may not trigger on a tiny program; solve-side
-				// stages must fail the build.
-				if stage != faultinject.StageCollapse {
-					t.Fatalf("abstraction build survived a %s panic", stage)
-				}
-				t.Skip("no collapse pass ran on this program")
+				t.Fatalf("abstraction build survived a %s panic", stage)
 			}
 			if err == nil {
 				// clients.evaluate runs in the main analysis, not the build.
@@ -326,27 +284,12 @@ func TestTracePanicPaths(t *testing.T) {
 			if werr := snap.WellFormed(); werr != nil {
 				t.Fatalf("span tree after %s panic is malformed: %v\n%+v", stage, werr, snap.Spans)
 			}
-			switch stage {
-			case faultinject.StageCollapse:
-				// The panic strikes mid-pass and unwinds THROUGH the
-				// collapse span to the solve-stage guard: the collapse
-				// span closes as aborted, the solve span carries the
-				// typed panic.
-				sp := failedStage(snap, stage)
-				if sp == nil || sp.Fail != trace.FailAborted {
-					t.Fatalf("collapse span not tagged aborted: %+v", snap.Spans)
-				}
-				if solve := failedStage(snap, faultinject.StageSolve); solve == nil || solve.Fail != trace.FailPanic {
-					t.Fatalf("solve span not tagged panic after a collapse strike: %+v", snap.Spans)
-				}
-			default:
-				sp := failedStage(snap, stage)
-				if sp == nil {
-					t.Fatalf("no failed %s span in the snapshot: %+v", stage, snap.Spans)
-				}
-				if sp.Fail != trace.FailPanic {
-					t.Fatalf("%s span fail class = %q, want %q", stage, sp.Fail, trace.FailPanic)
-				}
+			sp := failedStage(snap, stage)
+			if sp == nil {
+				t.Fatalf("no failed %s span in the snapshot: %+v", stage, snap.Spans)
+			}
+			if sp.Fail != trace.FailPanic {
+				t.Fatalf("%s span fail class = %q, want %q", stage, sp.Fail, trace.FailPanic)
 			}
 		})
 	}

@@ -23,8 +23,8 @@ import (
 //
 // Mutex-guarded plain access is flagged too, with its own message: a
 // mutex synchronizes only with other critical sections on the same
-// mutex, never with sync/atomic users of the field (the SharedAtomic
-// and SharedGuarded points of the ownership lattice do not mix). The
+// mutex, never with sync/atomic users of the field, so guarded and
+// atomic access to one field do not mix. The
 // durable fix is the atomic.Int64/Uint64/Pointer wrapper types, which
 // make plain access unrepresentable.
 //

@@ -8,7 +8,7 @@ import (
 // CtxFlow enforces threaded cancellation in library code.
 //
 // PR 1 threaded context.Context from the daemon down through every pipeline
-// stage (the solver worklist, the Tarjan pass, the merge workers all poll
+// stage (the solver worklist and the merge workers poll
 // it); that chain only cancels if no link manufactures a fresh root context.
 // A context.Background()/TODO() inside internal/ detaches everything below
 // it from the caller's deadline and from graceful shutdown — exactly the bug

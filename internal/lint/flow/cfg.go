@@ -1,8 +1,7 @@
 // Package flow is the dataflow layer under mahjongvet's analyzers: it
-// builds per-function control-flow graphs from go/ast + go/types,
-// computes reaching definitions over them, and classifies values on a
-// small access-path ownership lattice (local / borrowed / sent /
-// shared-atomic / shared-guarded).
+// builds per-function control-flow graphs from go/ast + go/types and
+// walks them path by path (Walk), with helpers that resolve the
+// variables and struct fields a node defines or uses.
 //
 // The existing analyzer suite (PR 4) is syntactic and type-based; the
 // invariants that now carry correctness — the sched queue-slot

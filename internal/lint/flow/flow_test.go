@@ -222,63 +222,3 @@ func TestEdgeProvesFalsePrunesFailedAcquire(t *testing.T) {
 		t.Fatal("pruning the proven-false ok edge must cut the leak path")
 	}
 }
-
-const reachSrc = `package flowtest
-
-func grabSet() int { return 0 }
-
-func classify(p int, cond bool) int {
-	v := p
-	if cond {
-		v = grabSet()
-	}
-	return v
-}
-`
-
-func TestReachingDefsAndOwnership(t *testing.T) {
-	fd, info := check(t, reachSrc, "classify")
-	g := flow.New(fd.Body)
-	var params []*ast.Ident
-	for _, f := range fd.Type.Params.List {
-		params = append(params, f.Names...)
-	}
-	r := flow.Reach(g, info, params)
-
-	// The v in `return v` must see both definitions: the copy of the
-	// parameter and the grabSet call.
-	var retUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			retUse = ret.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs := r.At(retUse)
-	if len(defs) != 2 {
-		t.Fatalf("got %d reaching defs at return, want 2 (param copy + grabSet): %v", len(defs), defs)
-	}
-
-	// Ownership joins to Borrowed: one reaching def copies the
-	// parameter, and Borrowed > Local on the escape ladder.
-	owners := map[string]bool{"grabSet": true}
-	if o := flow.OwnerOf(r, retUse, owners); o != flow.Borrowed {
-		t.Fatalf("OwnerOf(v at return) = %v, want borrowed (join of borrowed param and local grab)", o)
-	}
-}
-
-func TestJoinKeepsMostEscaped(t *testing.T) {
-	cases := []struct {
-		a, b, want flow.Ownership
-	}{
-		{flow.Local, flow.Borrowed, flow.Borrowed},
-		{flow.Sent, flow.Local, flow.Sent},
-		{flow.SharedGuarded, flow.SharedAtomic, flow.SharedAtomic},
-		{flow.Local, flow.Local, flow.Local},
-	}
-	for _, c := range cases {
-		if got := flow.Join(c.a, c.b); got != c.want {
-			t.Errorf("Join(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}

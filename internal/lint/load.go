@@ -28,9 +28,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// Lazily built dataflow caches (see flowpass.go).
-	cfgs    map[*ast.FuncDecl]*flow.Graph
-	reaches map[*ast.FuncDecl]*flow.ReachingDefs
+	// Lazily built CFG cache (see flowpass.go).
+	cfgs map[*ast.FuncDecl]*flow.Graph
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,15 +79,37 @@ func (c *flipCtx) Err() error {
 	return nil
 }
 
+// The cancelled run unwinds through the sentinel panic; the same program
+// must then solve to the same result, and the failed run must leak no
+// goroutines.
 func TestSolveContextMidRunCancellation(t *testing.T) {
 	prog := bigProgram(t)
+	want, err := Solve(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
 	fc := &flipCtx{Context: context.Background(), done: make(chan struct{})}
-	_, err := SolveContext(fc, prog, Options{})
+	_, err = SolveContext(fc, prog, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled mid-run, got %v", err)
 	}
 	if fc.calls <= 2 {
 		t.Fatalf("solver never reached the worklist-loop cancellation check (%d Err calls)", fc.calls)
+	}
+	got, err := SolveContext(context.Background(), prog, Options{})
+	if err != nil {
+		t.Fatalf("solve after cancelled run failed: %v", err)
+	}
+	if got.Work != want.Work {
+		t.Fatalf("solve after cancelled run diverged: work %d, want %d", got.Work, want.Work)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines leaked across cancelled solve: %d before, %d after", before, n)
 	}
 }
 

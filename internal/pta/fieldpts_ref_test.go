@@ -34,7 +34,7 @@ func referenceFieldPointsTo(r *Result, fn func(base *Obj, field *lang.Field, tar
 			tgts = make(map[*Obj]bool)
 			merged[key] = tgts
 		}
-		s.ptsAt(nodeID).ForEach(func(i int) bool {
+		s.nodes[nodeID].pts.ForEach(func(i int) bool {
 			tgts[s.csobjs[i].Obj] = true
 			return true
 		})

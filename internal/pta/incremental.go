@@ -58,7 +58,7 @@ type IncrementalStats struct {
 	DirtyMethods   int
 
 	// BaseNodes is the base solver's node count, TaintedNodes how many
-	// of its representatives the closure invalidated.
+	// of its nodes the closure invalidated.
 	BaseNodes    int
 	TaintedNodes int
 
@@ -209,7 +209,7 @@ type tainter struct {
 	bs *solver
 	d  *delta.Diff
 
-	tainted []bool // by representative node id
+	tainted []bool // by base node id
 	count   int
 	nodeWL  []int
 
@@ -296,11 +296,10 @@ func (t *tainter) markDirty(m *lang.Method) {
 }
 
 func (t *tainter) markNode(id int) {
-	rep := t.bs.find(id)
-	if !t.tainted[rep] {
-		t.tainted[rep] = true
+	if !t.tainted[id] {
+		t.tainted[id] = true
 		t.count++
-		t.nodeWL = append(t.nodeWL, rep)
+		t.nodeWL = append(t.nodeWL, id)
 	}
 }
 
@@ -323,16 +322,13 @@ func (t *tainter) processDirty(m *lang.Method) {
 // processNode propagates taint across everything derived from the
 // node's set: successor edges, loads and stores through it, and calls
 // dispatched on it.
-func (t *tainter) processNode(rep int) {
-	n := &t.bs.nodes[rep]
+func (t *tainter) processNode(id int) {
+	n := &t.bs.nodes[id]
 	for _, e := range n.succ {
 		t.markNode(e.to)
 	}
 	if n.info != nil {
 		t.taintInfo(n.info, &n.pts)
-	}
-	for _, in := range n.merged {
-		t.taintInfo(in, &n.pts)
 	}
 }
 
@@ -615,11 +611,10 @@ func (x *seeder) interrupted() error {
 // whose sets are not fully translatable are skipped — skipping can only
 // under-seed, which costs replay work but never exactness.
 func (x *seeder) seedNode(baseID int, counter *int, mk func() int) error {
-	rep := x.bs.find(baseID)
-	if x.t.tainted[rep] {
+	if x.t.tainted[baseID] {
 		return nil
 	}
-	src := &x.bs.nodes[rep].pts
+	src := &x.bs.nodes[baseID].pts
 	ok := true
 	x.buf = x.buf[:0]
 	src.ForEach(func(b int) bool {
@@ -661,10 +656,8 @@ func (x *seeder) markFrozen(id int) {
 }
 
 // isFrozen reports whether the new node's set was installed from the
-// base fixpoint. No collapse runs before the worklist loop, so find()
-// is the identity throughout the seed; it is applied anyway for form.
+// base fixpoint.
 func (x *seeder) isFrozen(id int) bool {
-	id = x.s.find(id)
 	return id < len(x.frozen) && x.frozen[id]
 }
 
@@ -679,14 +672,13 @@ func (x *seeder) edge(from, to int, filter *lang.Class) {
 // statement edges and every object-derived load/store/call edge — by
 // renaming node ids, skipping the per-object re-derivation that
 // otherwise dominates a warm solve. Valid only for additive edits (no
-// base edge lost its derivation) on a never-collapsed base (ids are
-// their own representatives), and only when every base node found a
+// base edge lost its derivation), and only when every base node found a
 // seeded counterpart. Returns false to fall back to per-statement
 // installation; a partial copy is harmless then — the copied edges are
 // all still valid and addEdgeIf deduplicates against them.
 func (x *seeder) copyEdges() bool {
 	bs, s := x.bs, x.s
-	if bs.reps != nil || x.st.SkippedNodes > 0 {
+	if x.st.SkippedNodes > 0 {
 		return false
 	}
 	for _, nid := range x.nodeMap {
@@ -702,7 +694,6 @@ func (x *seeder) copyEdges() bool {
 	defer func() {
 		s.stats.Edges += edges
 		s.stats.CopyEdges += copyEdges
-		s.newCopyEdges += copyEdges
 	}()
 	for id := range bs.nodes {
 		succ := bs.nodes[id].succ
@@ -889,7 +880,7 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 // may append to s.nodes, so the set pointer must be re-read per
 // element; Clone sidesteps that for the same price as replayBase.
 func (x *seeder) replayFrozen(base int, fn func(obj int)) {
-	pts := x.s.ptsAt(base)
+	pts := &x.s.nodes[base].pts
 	if pts.IsEmpty() {
 		return
 	}

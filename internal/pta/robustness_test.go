@@ -3,40 +3,10 @@ package pta
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"mahjong/internal/budget"
-	"mahjong/internal/faultinject"
-	"mahjong/internal/lang"
 )
-
-// chainProgram builds a program with a single allocation copied down a
-// chain of n variables: n filter-free copy edges, enough to trip the
-// solver's SCC trigger (and, for n >= 1024, the Tarjan pass's interrupt
-// poll, which fires every 1024 roots).
-func chainProgram(t testing.TB, n int) *lang.Program {
-	t.Helper()
-	p := lang.NewProgram()
-	a := p.NewClass("A", nil)
-	mainCls := p.NewClass("Main", nil)
-	m := mainCls.NewMethod("main", true, nil, nil)
-	prev := m.NewVar("v0", a)
-	m.AddAlloc(prev, a)
-	for i := 1; i <= n; i++ {
-		next := m.NewVar(fmt.Sprintf("v%d", i), a)
-		m.AddCopy(next, prev)
-		prev = next
-	}
-	m.AddReturn(nil)
-	p.SetEntry(m)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("chainProgram invalid: %v", err)
-	}
-	return p
-}
 
 // Meter exhaustion is a hard error wrapping budget.ErrExhausted — not
 // the legacy Budget.Work abort, which returns a partial result.
@@ -78,62 +48,5 @@ func TestSolveCleanAfterMeterExhaustion(t *testing.T) {
 	}
 	if got.Work != want.Work {
 		t.Fatalf("solve after exhausted run diverged: work %d, want %d", got.Work, want.Work)
-	}
-}
-
-// Cancellation arriving just as a condensation pass begins must unwind
-// through the Tarjan walk via the sentinel panic: the chain is long
-// enough (>1024 copy nodes) that tarjanCopySCCs itself polls the
-// context mid-pass, so the abandoned DFS state is simply dropped. The
-// solver must come back clean for the next run, and the failed run must
-// leak no goroutines.
-func TestSolveContextCancelDuringCollapse(t *testing.T) {
-	prog := chainProgram(t, 4096)
-	before := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	t.Cleanup(faultinject.Clear)
-	fired := false
-	faultinject.Set(faultinject.OnStage(faultinject.StageCollapse, func(string) error {
-		fired = true
-		cancel() // the next interrupt poll — inside the Tarjan pass — observes this
-		return nil
-	}))
-	_, err := SolveContext(ctx, prog, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want error wrapping context.Canceled, got %v", err)
-	}
-	if !fired {
-		t.Fatal("the collapse seam never fired: the program did not trigger a condensation pass")
-	}
-	faultinject.Clear()
-
-	// The same program must still solve to completion afterwards.
-	if _, err := SolveContext(context.Background(), prog, Options{}); err != nil {
-		t.Fatalf("solve after cancelled collapse failed: %v", err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked across cancelled solve: %d before, %d after", before, n)
-	}
-}
-
-// A words budget small enough to survive initial propagation but not
-// the growth that follows a condensation pass exhausts mid-solve with
-// collapse machinery armed; the sentinel must unwind without corrupting
-// anything a later solve depends on.
-func TestSolveContextMeterExhaustionWithCollapseArmed(t *testing.T) {
-	prog := chainProgram(t, 4096)
-	meter := budget.NewMeter(budget.Limits{BitsetWords: 8})
-	if _, err := SolveContext(context.Background(), prog, Options{Meter: meter}); !errors.Is(err, budget.ErrExhausted) {
-		t.Fatalf("want exhaustion, got %v", err)
-	}
-	if _, err := SolveContext(context.Background(), prog, Options{}); err != nil {
-		t.Fatalf("solve after exhausted run failed: %v", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"mahjong/internal/faultinject"
 	"mahjong/internal/lang"
 	"mahjong/internal/trace"
-	"mahjong/internal/unionfind"
 )
 
 // CSObj is a context-sensitive abstract object: an abstract object plus
@@ -58,16 +57,15 @@ type Options struct {
 	// across pipeline stages so one job draws on one budget.
 	Meter *budget.Meter
 
-	// NoOpt disables the solver's semantics-preserving optimizations
-	// (copy-cycle collapsing and class-indexed filter masks) and falls
-	// back to the naive propagation strategy. Results are identical,
-	// only slower; the flag exists for A/B equivalence tests and
-	// ablation benchmarks.
+	// NoOpt disables the solver's class-indexed filter masks and falls
+	// back to testing each filtered object's type. Results are
+	// identical, only slower; the flag exists for A/B equivalence tests
+	// and ablation benchmarks.
 	NoOpt bool
 
-	// Trace, when enabled, records a "pta.solve" span for the run (with
-	// per-pass "pta.collapse" child spans) carrying the Stats counters
-	// as span deltas. The zero Ctx disables tracing at no cost.
+	// Trace, when enabled, records a "pta.solve" span for the run
+	// carrying the Stats counters as span deltas. The zero Ctx disables
+	// tracing at no cost.
 	Trace trace.Ctx
 
 	// seed, when non-nil, pre-populates the freshly constructed solver
@@ -111,15 +109,8 @@ type node struct {
 	// edge is found by binary search; nil below the threshold.
 	copyIdx *[]int32
 
-	// info is the var-node payload (nil for field nodes). It stays on
-	// the node that created it even after the node is collapsed into a
-	// cycle representative, so statement processing can keep appending
-	// sites through the original id.
+	// info is the var-node payload (nil for field nodes).
 	info *varInfo
-
-	// merged holds the varInfos of nodes collapsed into this
-	// representative: a delta arriving here must fire their sites too.
-	merged []*varInfo
 }
 
 // loadSite / storeSite are load/store statements with their non-base
@@ -217,11 +208,6 @@ type solver struct {
 	pending  []*bitset.Set
 	freeSets []*bitset.Set // cleared delta sets, reused by grabSet
 
-	// copy-cycle collapsing state (nil/zero under Options.NoOpt)
-	reps         *unionfind.Forest // nil until the first collapse
-	newCopyEdges int               // copy edges since the last SCC pass
-	sccTrigger   int               // pass when newCopyEdges reaches this
-
 	masks   []*classMask // by filter Class.ID; nil until the class first filters
 	scratch bitset.Set   // filtered() output buffer, consumed immediately
 
@@ -302,7 +288,6 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 		csReach:    make(map[uint64]struct{}),
 		reached:    make([]bool, len(prog.Methods)),
 		csCalls:    make(map[csCallKey]struct{}),
-		sccTrigger: sccMinTrigger,
 	}
 	s.emptyHeap = s.ctxt.Empty()
 	// Size the node tables for one node per program variable, about what
@@ -369,9 +354,6 @@ func (s *solver) recordSpan(sp trace.Span) {
 	sp.Add("nodes", int64(len(s.nodes)))
 	sp.Add("edges", int64(st.Edges))
 	sp.Add("copy_edges", int64(st.CopyEdges))
-	sp.Add("collapsed_sccs", int64(st.CollapsedSCCs))
-	sp.Add("collapsed_nodes", int64(st.CollapsedNodes))
-	sp.Add("scc_passes", int64(st.SCCPasses))
 	sp.Add("propagated_bits", st.PropagatedBits)
 	sp.Add("filter_masks", int64(st.FilterMasks))
 	sp.Add("filter_mask_hits", st.FilterMaskHits)
@@ -385,10 +367,9 @@ func (s *solver) recordSpan(sp trace.Span) {
 func (s *solver) run() (aborted, cancelled, exhausted bool) {
 	defer func() {
 		// chargeWork/chargeWords unwind deep processing chains via panic
-		// when a budget runs out or the context is cancelled — including
-		// mid-collapse, while a Tarjan pass is active; anything else is a
-		// real bug and is re-raised (to be typed by SolveContext's stage
-		// guard).
+		// when a budget runs out or the context is cancelled; anything
+		// else is a real bug and is re-raised (to be typed by
+		// SolveContext's stage guard).
 		switch r := recover(); r {
 		case nil:
 		case errBudgetSentinel:
@@ -403,9 +384,6 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 	}()
 	s.makeReachable(s.ctxt.Empty(), s.prog.Entry)
 	for {
-		if !s.opts.NoOpt && s.newCopyEdges >= s.sccTrigger {
-			s.collapseCycles()
-		}
 		id, ok := s.worklist.pop()
 		if !ok {
 			break
@@ -413,15 +391,6 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		s.queued[id] = false
 		delta := s.pending[id]
 		s.pending[id] = nil
-		if rep := s.find(id); rep != id {
-			// Collapsed while queued: its delta (if any) belongs to the
-			// representative now.
-			if delta != nil {
-				s.addPts(rep, delta)
-				s.releaseSet(delta)
-			}
-			continue
-		}
 		if delta == nil || delta.IsEmpty() {
 			s.releaseSet(delta)
 			continue
@@ -438,9 +407,6 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		}
 		if info := s.nodes[id].info; info != nil {
 			s.processVarDelta(info, delta)
-		}
-		for _, vi := range s.nodes[id].merged {
-			s.processVarDelta(vi, delta)
 		}
 		s.releaseSet(delta)
 	}
@@ -472,9 +438,9 @@ func (s *solver) chargeWork(units int64) {
 	}
 }
 
-// chargeWords meters growth (or, negative, shrinkage) of live
-// points-to-set storage. Like chargeWork it unwinds via sentinel, so
-// exhaustion aborts cleanly from any depth — including mid-collapse.
+// chargeWords meters growth of live points-to-set storage. Like
+// chargeWork it unwinds via sentinel, so exhaustion aborts cleanly from
+// any depth.
 func (s *solver) chargeWords(words int) {
 	if s.meter == nil || words == 0 {
 		return
@@ -483,33 +449,6 @@ func (s *solver) chargeWords(words int) {
 		s.meterErr = err
 		panic(errMeterSentinel)
 	}
-}
-
-// pollInterrupt is the no-work-charged variant of chargeWork's periodic
-// checks, called from the collapse pass (which performs graph work that
-// the deterministic fact counter deliberately excludes).
-func (s *solver) pollInterrupt() {
-	if s.hasTimeout && time.Now().After(s.deadline) {
-		panic(errBudgetSentinel)
-	}
-	if s.ctx != nil && s.ctx.Err() != nil {
-		panic(errCancelSentinel)
-	}
-}
-
-// find resolves a node id to its cycle representative; the identity
-// until the first collapse (and always under NoOpt).
-func (s *solver) find(id int) int {
-	if s.reps == nil || id >= s.reps.Len() {
-		return id
-	}
-	return s.reps.Find(id)
-}
-
-// ptsAt returns the points-to set of id's representative. The pointer
-// is only valid until the next node append or collapse.
-func (s *solver) ptsAt(id int) *bitset.Set {
-	return &s.nodes[s.find(id)].pts
 }
 
 // grabSet returns an empty delta set, reusing a released one if
@@ -600,7 +539,6 @@ func (s *solver) addPts(id int, set *bitset.Set) {
 	if set == nil || set.IsEmpty() {
 		return
 	}
-	id = s.find(id)
 	p := s.pending[id]
 	fresh := p == nil
 	if fresh {
@@ -622,7 +560,6 @@ func (s *solver) addPts(id int, set *bitset.Set) {
 
 // addPtsOne adds a single object without building a one-bit set.
 func (s *solver) addPtsOne(id, obj int) {
-	id = s.find(id)
 	wordsBefore := s.nodes[id].pts.Words()
 	if !s.nodes[id].pts.Add(obj) {
 		return
@@ -657,7 +594,6 @@ func (s *solver) addEdge(from, to int, filter *lang.Class) {
 // the base fixpoint and already contains everything the source would
 // push — skipping those full-set unions is most of the seeding win.
 func (s *solver) addEdgeIf(from, to int, filter *lang.Class, replay bool) {
-	from, to = s.find(from), s.find(to)
 	if from == to && filter == nil {
 		return
 	}
@@ -682,7 +618,6 @@ func (s *solver) addEdgeIf(from, to int, filter *lang.Class, replay bool) {
 	s.stats.Edges++
 	if filter == nil {
 		s.stats.CopyEdges++
-		s.newCopyEdges++
 	}
 	if replay && !n.pts.IsEmpty() {
 		s.addPts(to, s.filtered(&n.pts, filter))
@@ -789,7 +724,7 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 // self-load `x = x.f`), and bits added mid-replay reach fn later via
 // the pending delta instead of a mutating iteration.
 func (s *solver) replayBase(base int, fn func(obj int)) {
-	pts := s.ptsAt(base)
+	pts := &s.nodes[base].pts
 	if pts.IsEmpty() {
 		return
 	}
@@ -829,7 +764,7 @@ func (s *solver) applyStore(obj int, st storeSite) {
 // edge. There is deliberately no (ctx, inv, obj) seen-cache in front of
 // it: deltas are disjoint from previously propagated bits, so a pair
 // can repeat only through a statement replay overlapping a pending
-// delta or a post-collapse re-propagation — both bounded — and
+// delta — which is bounded — and
 // addCallEdge deduplicates the edge itself. The former cache's hashing
 // and rehash churn dominated the solver's profile.
 func (s *solver) applyInvoke(ctx *Context, obj int, inv *lang.Invoke) {

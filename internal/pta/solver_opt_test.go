@@ -62,7 +62,8 @@ func TestSelfLoadReplayRegression(t *testing.T) {
 
 // buildCopyCycle builds a program whose n variables form one large
 // filter-free copy cycle fed by a single allocation, with a load/store
-// pair hanging off one member so that merged varInfos keep firing.
+// pair hanging off two members so that var-node sites fire on cycle
+// deltas.
 func buildCopyCycle(t *testing.T, n int) (*lang.Program, []*lang.Var, *lang.Var) {
 	t.Helper()
 	p := lang.NewProgram()
@@ -78,8 +79,8 @@ func buildCopyCycle(t *testing.T, n int) (*lang.Program, []*lang.Var, *lang.Var)
 	for i := range vars {
 		m.AddCopy(vars[(i+1)%n], vars[i])
 	}
-	// A store and a load through a cycle member: the field points-to
-	// relation must survive the member being folded into a rep.
+	// A store and a load through different cycle members: the load
+	// sees the stored object only once the allocation has gone round.
 	other := m.NewVar("other", a)
 	out := m.NewVar("out", a)
 	m.AddAlloc(other, a)
@@ -93,41 +94,77 @@ func buildCopyCycle(t *testing.T, n int) (*lang.Program, []*lang.Var, *lang.Var)
 	return p, vars, out
 }
 
-func TestCopyCycleCollapse(t *testing.T) {
-	// 4*sccMinTrigger copy edges guarantees the lazy trigger fires.
-	prog, vars, out := buildCopyCycle(t, 4*sccMinTrigger)
+func TestCopyCyclePropagation(t *testing.T) {
+	prog, vars, out := buildCopyCycle(t, 512)
 	r, err := Solve(prog, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	st := r.Stats()
-	if st.CollapsedSCCs < 1 {
-		t.Fatalf("no SCC collapsed: %+v", st)
-	}
-	if st.CollapsedNodes < len(vars)-1 {
-		t.Fatalf("collapsed %d nodes, want >= %d", st.CollapsedNodes, len(vars)-1)
-	}
+	ring, stored := prog.Sites[0].Label, prog.Sites[1].Label
 	for _, v := range vars {
-		objs := r.VarObjs(v)
-		if len(objs) != 1 {
-			t.Fatalf("%s points to %d objects, want 1 (the allocation circulating the cycle)", v.Name, len(objs))
+		if got := varSiteLabels(r, v); !equalStrings(got, []string{ring}) {
+			t.Fatalf("%s points to %v, want [%s] (the allocation circulating the cycle)", v.Name, got, ring)
 		}
 	}
-	if objs := r.VarObjs(out); len(objs) != 1 {
-		t.Fatalf("out points to %d objects, want 1 (field load through collapsed node)", len(objs))
+	if got := varSiteLabels(r, out); !equalStrings(got, []string{stored}) {
+		t.Fatalf("out points to %v, want [%s] (the object stored through the cycle)", got, stored)
 	}
 
-	// The NoOpt run must agree object-for-object and report no collapses.
+	// The NoOpt run must agree object-for-object.
 	rn, err := Solve(prog, Options{NoOpt: true})
 	if err != nil {
 		t.Fatalf("Solve(NoOpt): %v", err)
 	}
-	if sn := rn.Stats(); sn.CollapsedSCCs != 0 || sn.SCCPasses != 0 || sn.FilterMaskHits != 0 {
-		t.Fatalf("NoOpt run used optimizations: %+v", sn)
+	if sn := rn.Stats(); sn.FilterMaskHits != 0 {
+		t.Fatalf("NoOpt run used filter masks: %+v", sn)
 	}
 	for _, v := range append(vars, out) {
 		if got, want := varSiteLabels(r, v), varSiteLabels(rn, v); !equalStrings(got, want) {
 			t.Fatalf("%s: opt=%v noopt=%v", v.Name, got, want)
+		}
+	}
+}
+
+// buildAllocRing builds a ring of n filter-free copies that allocs
+// allocations enter at evenly spaced members.
+func buildAllocRing(t *testing.T, n, allocs int) *lang.Program {
+	t.Helper()
+	p := lang.NewProgram()
+	a := p.NewClass("A", nil)
+	mainCls := p.NewClass("Main", nil)
+	m := mainCls.NewMethod("main", true, nil, nil)
+	vars := make([]*lang.Var, n)
+	for i := range vars {
+		vars[i] = m.NewVar(fmt.Sprintf("v%d", i), a)
+	}
+	for i := range vars {
+		m.AddCopy(vars[(i+1)%n], vars[i])
+	}
+	for k := 0; k < allocs; k++ {
+		m.AddAlloc(vars[k*n/allocs], a)
+	}
+	m.AddReturn(nil)
+	p.SetEntry(m)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("program invalid: %v", err)
+	}
+	return p
+}
+
+// Difference propagation moves each fact once per cycle member: every
+// ring member ends up holding every allocation, and each of those
+// (member, object) facts leaves the worklist in exactly one delta. A
+// solver that re-propagated whole sets, or re-queued facts it already
+// had, would push more bits than that.
+func TestCopyCycleLinearPropagation(t *testing.T) {
+	const n = 1024
+	for _, allocs := range []int{1, 8} {
+		r, err := Solve(buildAllocRing(t, n, allocs), Options{})
+		if err != nil {
+			t.Fatalf("allocs=%d: Solve: %v", allocs, err)
+		}
+		if st := r.Stats(); st.PropagatedBits != int64(allocs*n) {
+			t.Fatalf("allocs=%d: %d bits propagated around a ring of %d, want %d", allocs, st.PropagatedBits, n, allocs*n)
 		}
 	}
 }

@@ -5,20 +5,15 @@ package pta
 // /metrics) and for the optimization regression tests. All counters are
 // deterministic for a given program and Options.
 type Stats struct {
-	// Nodes is the number of pointer nodes created (including nodes
-	// later folded into a cycle representative).
+	// Nodes is the number of pointer nodes created.
 	Nodes int `json:"nodes"`
 	// Edges is the number of distinct flow edges inserted.
 	Edges int `json:"edges"`
-	// CopyEdges is the filter-free subset of Edges — the subgraph the
-	// cycle collapser condenses.
+	// CopyEdges is the filter-free subset of Edges.
 	CopyEdges int `json:"copy_edges"`
-	// CollapsedSCCs counts copy cycles collapsed onto a representative;
-	// CollapsedNodes counts the member nodes folded away.
-	CollapsedSCCs  int `json:"collapsed_sccs"`
+	// CollapsedNodes is always 0: the solver folds no nodes. It remains
+	// only because the benchmark report still reads it.
 	CollapsedNodes int `json:"collapsed_nodes"`
-	// SCCPasses counts condensation passes over the copy subgraph.
-	SCCPasses int `json:"scc_passes"`
 	// PropagatedBits is the total number of points-to facts pushed out
 	// of the worklist (the solver's real throughput measure; equals
 	// Result.Work for unaborted runs).

@@ -157,24 +157,6 @@ func TestFaultMatrix(t *testing.T) {
 		assertHealthy(t, ts)
 	})
 
-	t.Run("collapse panic degrades", func(t *testing.T) {
-		// Benchmarks are big enough that the solver runs condensation
-		// passes, so the fault strikes while Tarjan state is live.
-		v, snap, ts := runCase(t,
-			faultinject.OnStage(faultinject.StageCollapse, faultinject.Once(faultinject.PanicWith("injected collapse bug"))),
-			JobSpec{Benchmark: "luindex"})
-		if v.State != StateDone || !v.Degraded {
-			t.Fatalf("state %s degraded %v (error %q), want degraded done", v.State, v.Degraded, v.Error)
-		}
-		if !strings.Contains(v.DegradedCause, "pta.collapse") {
-			t.Fatalf("degraded cause %q does not name pta.collapse", v.DegradedCause)
-		}
-		if snap.StageFailures["pta.collapse"] != 1 {
-			t.Fatalf("stage failures %v, want pta.collapse:1", snap.StageFailures)
-		}
-		assertHealthy(t, ts)
-	})
-
 	t.Run("fpg panic degrades", func(t *testing.T) {
 		v, snap, ts := runCase(t,
 			faultinject.OnStage(faultinject.StageFPG, faultinject.Once(faultinject.PanicWith("injected fpg bug"))),

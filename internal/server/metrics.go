@@ -26,7 +26,6 @@ import (
 // without listing it here fails `make lint`.
 var knownStages = []string{
 	faultinject.StageSolve,
-	faultinject.StageCollapse,
 	faultinject.StageFPG,
 	faultinject.StageModel,
 	faultinject.StageEquiv,
@@ -93,8 +92,6 @@ type metrics struct {
 
 	// Solver-internal counters, accumulated from pta.Stats per analysis.
 	solverPropagated atomic.Int64 // points-to facts pushed through the worklist
-	solverSCCs       atomic.Int64 // copy cycles collapsed
-	solverSCCNodes   atomic.Int64 // nodes folded into cycle representatives
 	solverMaskHits   atomic.Int64 // filtered propagations served by class masks
 
 	// stageDur holds one fixed-bucket duration histogram per known
@@ -291,8 +288,6 @@ type MetricsSnapshot struct {
 	AnalysisMS     int64 `json:"analysis_ms"`
 
 	SolverPropagatedFacts int64 `json:"solver_propagated_facts"`
-	SolverSCCsCollapsed   int64 `json:"solver_sccs_collapsed"`
-	SolverNodesCollapsed  int64 `json:"solver_nodes_collapsed"`
 	SolverFilterMaskHits  int64 `json:"solver_filter_mask_hits"`
 
 	// StageDurations histograms pipeline-stage wall time, fed from the
@@ -357,8 +352,6 @@ func (m *metrics) snapshot(depths, inflight [sched.NumClasses]int, cacheEntries,
 		AnalysisMS:     ms(m.analysisNS.Load()),
 
 		SolverPropagatedFacts: m.solverPropagated.Load(),
-		SolverSCCsCollapsed:   m.solverSCCs.Load(),
-		SolverNodesCollapsed:  m.solverSCCNodes.Load(),
 		SolverFilterMaskHits:  m.solverMaskHits.Load(),
 
 		StageDurations: m.stageDurationSnapshot(),
@@ -445,8 +438,6 @@ func writeProm(w io.Writer, s MetricsSnapshot) {
 	counter("mahjongd_heap_modeling_milliseconds_total", "Time spent merging equivalent automata.", s.HeapModelingMS)
 	counter("mahjongd_analysis_milliseconds_total", "Time spent in main points-to analyses.", s.AnalysisMS)
 	counter("mahjongd_solver_propagated_facts_total", "Points-to facts pushed through solver worklists.", s.SolverPropagatedFacts)
-	counter("mahjongd_solver_sccs_collapsed_total", "Copy cycles collapsed onto representatives.", s.SolverSCCsCollapsed)
-	counter("mahjongd_solver_nodes_collapsed_total", "Pointer nodes folded into cycle representatives.", s.SolverNodesCollapsed)
 	counter("mahjongd_solver_filter_mask_hits_total", "Filtered propagations served by class-indexed masks.", s.SolverFilterMaskHits)
 
 	// Stage-duration histograms: one series set per registered stage in

@@ -770,8 +770,6 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	s.metrics.solverWork.Add(rep.Work)
 	s.metrics.analysisNS.Add(rep.Time.Nanoseconds())
 	s.metrics.solverPropagated.Add(rep.Solver.PropagatedBits)
-	s.metrics.solverSCCs.Add(int64(rep.Solver.CollapsedSCCs))
-	s.metrics.solverSCCNodes.Add(int64(rep.Solver.CollapsedNodes))
 	s.metrics.solverMaskHits.Add(rep.Solver.FilterMaskHits)
 	j.mu.Lock()
 	j.rep = rep

@@ -8,8 +8,8 @@
 // any other name) — and records monotonic start/end times, its parent
 // span, an optional worker attribution for the heap modeler's parallel
 // merge workers, a failure tag when the stage did not complete, and
-// per-span counter deltas (propagated facts, merge pairs, collapsed
-// cycles, …). The counters double as a machine-checkable oracle: the
+// per-span counter deltas (propagated facts, merge pairs, …). The
+// counters double as a machine-checkable oracle: the
 // span-accounting tests cross-check them against pta.Stats and the
 // /metrics totals, so a stage that stops reporting its work breaks a
 // test instead of a dashboard.

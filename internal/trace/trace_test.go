@@ -40,13 +40,13 @@ func TestZeroValuesNoOp(t *testing.T) {
 func TestSpanTreeAndCounters(t *testing.T) {
 	tr := New()
 	root := tr.Root().Start("server.job")
-	solve := root.Ctx().Start("pta.solve")
-	collapse := solve.Ctx().Start("pta.collapse")
-	collapse.Add("collapsed_sccs", 2)
-	collapse.Add("collapsed_sccs", 3) // accumulates
-	collapse.Add("collapsed_nodes", 7)
-	collapse.End()
-	solve.End()
+	model := root.Ctx().Start("core.build")
+	equiv := model.Ctx().Start("automata.equiv")
+	equiv.Add("states", 2)
+	equiv.Add("states", 3) // accumulates
+	equiv.Add("merge_pairs", 7)
+	equiv.End()
+	model.End()
 	root.End()
 
 	snap := tr.Snapshot()
@@ -57,7 +57,7 @@ func TestSpanTreeAndCounters(t *testing.T) {
 		t.Fatalf("got %d spans, want 3", len(snap.Spans))
 	}
 	stages := []string{snap.Spans[0].Stage, snap.Spans[1].Stage, snap.Spans[2].Stage}
-	want := []string{"server.job", "pta.solve", "pta.collapse"}
+	want := []string{"server.job", "core.build", "automata.equiv"}
 	for i := range want {
 		if stages[i] != want[i] {
 			t.Fatalf("pre-order stages %v, want %v", stages, want)
@@ -67,11 +67,11 @@ func TestSpanTreeAndCounters(t *testing.T) {
 		t.Fatalf("parents wrong: %+v", snap.Spans)
 	}
 	c := snap.Spans[2]
-	if v, ok := c.Counter("collapsed_sccs"); !ok || v != 5 {
-		t.Fatalf("collapsed_sccs = %d (%v), want 5", v, ok)
+	if v, ok := c.Counter("states"); !ok || v != 5 {
+		t.Fatalf("states = %d (%v), want 5", v, ok)
 	}
 	// Counters are name-sorted in the export.
-	if c.Counters[0].Name != "collapsed_nodes" || c.Counters[1].Name != "collapsed_sccs" {
+	if c.Counters[0].Name != "merge_pairs" || c.Counters[1].Name != "states" {
 		t.Fatalf("counters not sorted: %+v", c.Counters)
 	}
 }

@@ -8,8 +8,8 @@ package unionfind
 
 import "sync/atomic"
 
-// Forest is a disjoint-set forest over the integers [0, n).
-// The zero value is an empty forest; use New or Grow to add elements.
+// Forest is a disjoint-set forest over the integers [0, n), created by
+// New.
 //
 // Concurrency: the heap modeler's merge workers call Union from
 // multiple goroutines on provably disjoint trees (merging never crosses
@@ -34,24 +34,6 @@ func New(n int) *Forest {
 	}
 	return f
 }
-
-// Grow extends the forest so that it contains at least n elements,
-// adding new elements as singletons.
-func (f *Forest) Grow(n int) {
-	if n <= len(f.parent) {
-		return
-	}
-	old := len(f.parent)
-	f.parent = append(f.parent, make([]int32, n-old)...)
-	f.rank = append(f.rank, make([]int8, n-old)...)
-	for i := old; i < n; i++ {
-		f.parent[i] = int32(i)
-	}
-	f.sets.Add(int64(n - old))
-}
-
-// Len returns the number of elements in the forest.
-func (f *Forest) Len() int { return len(f.parent) }
 
 // Sets returns the current number of disjoint sets.
 func (f *Forest) Sets() int { return int(f.sets.Load()) }

@@ -8,8 +8,8 @@ import (
 
 func TestSingletons(t *testing.T) {
 	f := New(5)
-	if f.Len() != 5 || f.Sets() != 5 {
-		t.Fatalf("len=%d sets=%d", f.Len(), f.Sets())
+	if f.Sets() != 5 {
+		t.Fatalf("sets=%d", f.Sets())
 	}
 	for i := 0; i < 5; i++ {
 		if f.Find(i) != i {
@@ -36,23 +36,6 @@ func TestUnionFind(t *testing.T) {
 	}
 	if f.Sets() != 3 { // {0,1,2,3}, {4}, {5}
 		t.Fatalf("sets=%d want 3", f.Sets())
-	}
-}
-
-func TestGrow(t *testing.T) {
-	var f Forest
-	f.Grow(3)
-	f.Union(0, 2)
-	f.Grow(5)
-	if f.Len() != 5 || f.Sets() != 4 {
-		t.Fatalf("len=%d sets=%d", f.Len(), f.Sets())
-	}
-	if !f.Same(0, 2) || f.Same(0, 3) {
-		t.Fatal("grow corrupted existing sets")
-	}
-	f.Grow(2) // shrinking request is a no-op
-	if f.Len() != 5 {
-		t.Fatal("Grow shrank the forest")
 	}
 }
 

@@ -273,7 +273,7 @@ type Report struct {
 	// CSObjects and CSMethods measure context-sensitive analysis size.
 	CSObjects, CSMethods int
 	// Solver holds the solver's internal performance counters (graph
-	// size, copy cycles collapsed, filter-mask usage); valid for every
+	// size, propagated facts, filter-mask usage); valid for every
 	// run, including unscalable ones.
 	Solver pta.Stats
 
