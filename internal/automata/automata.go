@@ -20,6 +20,7 @@ package automata
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"mahjong/internal/fpg"
@@ -40,6 +41,11 @@ type State struct {
 	// after expansion.
 	trans    []transition
 	expanded bool
+	// allSingle is set once every state reachable from this one is
+	// known to be single-typed (SINGLETYPE-CHECK memo across objects).
+	allSingle bool
+	// mark is the epoch of the last traversal that reached this state.
+	mark uint32
 }
 
 type transition struct {
@@ -48,19 +54,32 @@ type transition struct {
 }
 
 // Universe hash-conses DFA states over one FPG so that automata of
-// different objects share their common parts. It is not safe for
-// concurrent mutation: expand everything first (Prepare/DFA), then
-// Equivalent and SingleTypeOK may be called from multiple goroutines.
+// different objects share their common parts.
+//
+// Root, SingleTypeOK, DFA and StateCount write to the universe: they
+// intern and expand states, reuse its scratch buffers, and stamp the
+// states they reach with a per-universe epoch instead of allocating a
+// visited set. They must not run concurrently with each other or with
+// Equivalent. Equivalent only reads transitions, so once every object
+// of interest is expanded it may run from many goroutines, and so may
+// Root for objects whose root already exists. Package core calls the
+// writing traversals only in its sequential phase 1; its DisableSharing
+// ablation uses a throwaway universe for each check.
 type Universe struct {
 	g      *fpg.Graph
 	states map[string]*State
 	all    []*State
 
-	roots     []*State // root state per FPG node (index = node ID), lazily filled
-	singleOK  []int8   // per node: 0 unknown, 1 ok, 2 fail
-	stateOK   map[*State]bool
-	errorOut  int32
-	numStates int
+	roots    []*State // root state per FPG node (index = node ID), lazily filled
+	singleOK []int8   // per node: 0 unknown, 1 ok, 2 fail
+	epoch    uint32   // current traversal stamp (see State.mark)
+
+	// Scratch reused across expansions; never retained by a State.
+	pairs   []uint64 // (field << 32 | target) pairs of a multi-node state
+	nodes   []int32  // successor node set being interned
+	key     []byte   // hash-consing key of nodes
+	stack   []*State // traversal stack
+	visited []*State // states a SingleTypeOK traversal passed
 }
 
 // NewUniverse creates an empty universe over g.
@@ -70,7 +89,6 @@ func NewUniverse(g *fpg.Graph) *Universe {
 		states:   make(map[string]*State),
 		roots:    make([]*State, len(g.Objs)),
 		singleOK: make([]int8, len(g.Objs)),
-		stateOK:  make(map[*State]bool),
 	}
 }
 
@@ -82,37 +100,31 @@ func (u *Universe) Graph() *fpg.Graph { return u.g }
 // state counts.
 func (u *Universe) NumStates() int { return len(u.all) }
 
-func stateKey(nodes []int32) string {
-	buf := make([]byte, 0, 4*len(nodes))
-	var tmp [4]byte
-	for _, n := range nodes {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(n))
-		buf = append(buf, tmp[:]...)
-	}
-	return string(buf)
-}
-
-// intern returns the canonical state for a sorted node set.
+// intern returns the canonical state for a sorted node set. nodes may be
+// scratch: a new state copies it, and a lookup of an existing state
+// allocates nothing (the string conversion in the map index does not
+// escape).
 func (u *Universe) intern(nodes []int32) *State {
-	k := stateKey(nodes)
-	if s, ok := u.states[k]; ok {
+	key := u.key[:0]
+	for _, n := range nodes {
+		key = binary.LittleEndian.AppendUint32(key, uint32(n))
+	}
+	u.key = key
+	if s, ok := u.states[string(key)]; ok {
 		return s
 	}
-	types := make([]int32, 0, 2)
-	seen := make(map[int32]bool, 2)
-	for _, n := range nodes {
-		t := int32(u.g.TypeOf[n])
-		if !seen[t] {
-			seen[t] = true
-			types = append(types, t)
-		}
+	own := slices.Clone(nodes)
+	types := make([]int32, 0, 1)
+	for _, n := range own {
+		types = append(types, int32(u.g.TypeOf[n]))
 	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	s := &State{ID: len(u.all) + 1, Nodes: nodes, Types: types, Single: -1}
+	slices.Sort(types)
+	types = slices.Compact(types)
+	s := &State{ID: len(u.all) + 1, Nodes: own, Types: slices.Clip(types), Single: -1}
 	if len(types) == 1 {
 		s.Single = types[0]
 	}
-	u.states[k] = s
+	u.states[string(key)] = s
 	u.all = append(u.all, s)
 	return s
 }
@@ -122,52 +134,79 @@ func (u *Universe) Root(node int) *State {
 	if s := u.roots[node]; s != nil {
 		return s
 	}
-	s := u.intern([]int32{int32(node)})
+	s := u.intern(append(u.nodes[:0], int32(node)))
 	u.roots[node] = s
 	return s
 }
 
 // expand computes the transitions of s (Algorithm 3, one step): for each
 // field on which any member has an out-edge, the successor state is the
-// union of member targets under that field.
+// union of member targets under that field. Successors are interned in
+// ascending field order, which fixes state IDs.
+//
+// Fields are the union across members. For single-type states all
+// members have the same class and hence the same declared fields, so
+// this matches Algorithm 3's "pick any member"; for multi-type states
+// the union keeps the construction well-defined. The null node's
+// implicit self-loops put null in the successor under every field of
+// the union.
 func (u *Universe) expand(s *State) {
 	if s.expanded {
 		return
 	}
 	s.expanded = true
-	// Union of fields across members. For single-type states all members
-	// have the same class and hence the same declared fields, so this
-	// matches Algorithm 3's "pick any member"; for multi-type states the
-	// union keeps the construction well-defined.
-	fieldSet := make(map[int32][]int32)
-	var fieldOrder []int32
-	for _, n := range s.Nodes {
-		for _, f := range u.g.FieldsOf(int(n)) {
-			ff := int32(f)
-			if _, ok := fieldSet[ff]; !ok {
-				fieldSet[ff] = nil
-				fieldOrder = append(fieldOrder, ff)
+	if len(s.Nodes) == 1 && s.Nodes[0] != fpg.NullNode {
+		// One member: its edge groups are the transitions as they stand
+		// (sorted by field; targets non-empty, sorted and deduplicated).
+		es := u.g.Out[s.Nodes[0]]
+		s.trans = make([]transition, 0, len(es))
+		for _, e := range es {
+			tgts := u.nodes[:0]
+			for _, t := range e.Targets {
+				tgts = append(tgts, int32(t))
+			}
+			u.nodes = tgts
+			s.trans = append(s.trans, transition{field: int32(e.Field), to: u.intern(tgts)})
+		}
+		return
+	}
+	// Several members: gather (field, target) pairs, then sort and
+	// compact them so each field's run is its successor set. The null
+	// node has no edges of its own; its self-loops are added per field.
+	nodes := s.Nodes
+	withNull := nodes[0] == fpg.NullNode
+	if withNull {
+		nodes = nodes[1:]
+	}
+	pairs := u.pairs[:0]
+	for _, n := range nodes {
+		for _, e := range u.g.Out[n] {
+			for _, t := range e.Targets {
+				pairs = append(pairs, uint64(e.Field)<<32|uint64(t))
 			}
 		}
 	}
-	sort.Slice(fieldOrder, func(i, j int) bool { return fieldOrder[i] < fieldOrder[j] })
-	for _, f := range fieldOrder {
-		var tgts []int32
-		seen := map[int32]bool{}
-		for _, n := range s.Nodes {
-			for _, t := range u.g.Succ(int(n), int(f)) {
-				tt := int32(t)
-				if !seen[tt] {
-					seen[tt] = true
-					tgts = append(tgts, tt)
-				}
-			}
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	u.pairs = pairs
+	nf := 0
+	for i := range pairs {
+		if i == 0 || pairs[i]>>32 != pairs[i-1]>>32 {
+			nf++
 		}
-		if len(tgts) == 0 {
-			continue
+	}
+	s.trans = make([]transition, 0, nf)
+	for i := 0; i < len(pairs); {
+		f := pairs[i] >> 32
+		tgts := u.nodes[:0]
+		if withNull && uint32(pairs[i]) != fpg.NullNode {
+			tgts = append(tgts, fpg.NullNode) // null sorts first
 		}
-		sort.Slice(tgts, func(i, j int) bool { return tgts[i] < tgts[j] })
-		s.trans = append(s.trans, transition{field: f, to: u.intern(tgts)})
+		for ; i < len(pairs) && pairs[i]>>32 == f; i++ {
+			tgts = append(tgts, int32(uint32(pairs[i])))
+		}
+		u.nodes = tgts
+		s.trans = append(s.trans, transition{field: int32(f), to: u.intern(tgts)})
 	}
 }
 
@@ -195,7 +234,7 @@ func (s *State) Fields() []int32 {
 // Definition 2.1) for the object at the given FPG node: every DFA state
 // reachable from {node} must have a singleton type set. Results are
 // memoized per node, and states proven all-single are memoized across
-// objects.
+// objects. A passing object's DFA is fully expanded afterwards.
 func (u *Universe) SingleTypeOK(node int) bool {
 	switch u.singleOK[node] {
 	case 1:
@@ -204,15 +243,15 @@ func (u *Universe) SingleTypeOK(node int) bool {
 		return false
 	}
 	root := u.Root(node)
-	visited := []*State{}
-	seen := map[*State]bool{}
-	stack := []*State{root}
-	seen[root] = true
+	mark := u.nextEpoch()
+	visited := u.visited[:0]
+	stack := append(u.stack[:0], root)
+	root.mark = mark
 	ok := true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if u.stateOK[s] {
+		if s.allSingle {
 			continue // proven all-single on a previous traversal
 		}
 		if s.Single < 0 {
@@ -222,8 +261,8 @@ func (u *Universe) SingleTypeOK(node int) bool {
 		visited = append(visited, s)
 		u.expand(s)
 		for _, tr := range s.trans {
-			if !seen[tr.to] {
-				seen[tr.to] = true
+			if tr.to.mark != mark {
+				tr.to.mark = mark
 				stack = append(stack, tr.to)
 			}
 		}
@@ -232,52 +271,56 @@ func (u *Universe) SingleTypeOK(node int) bool {
 		// Everything reachable from each visited state was also visited
 		// and single-typed, so all of them are proven all-single.
 		for _, s := range visited {
-			u.stateOK[s] = true
+			s.allSingle = true
 		}
 		u.singleOK[node] = 1
-		return true
+	} else {
+		u.singleOK[node] = 2
 	}
-	u.singleOK[node] = 2
-	return false
+	u.visited, u.stack = visited, stack
+	return ok
 }
 
 // DFA fully expands and returns the DFA rooted at {node}. After DFA has
 // been called for every object of interest, the universe may be read
-// concurrently.
+// concurrently by Equivalent.
 func (u *Universe) DFA(node int) *State {
 	root := u.Root(node)
-	seen := map[*State]bool{root: true}
-	stack := []*State{root}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		u.expand(s)
-		for _, tr := range s.trans {
-			if !seen[tr.to] {
-				seen[tr.to] = true
-				stack = append(stack, tr.to)
-			}
-		}
-	}
+	u.walk(root, u.expand)
 	return root
 }
 
 // StateCount returns the number of distinct states reachable from s
-// (the DFA size of one object).
+// (the DFA size of one object). s must be fully expanded.
 func (u *Universe) StateCount(s *State) int {
-	seen := map[*State]bool{s: true}
-	stack := []*State{s}
 	n := 0
+	u.walk(s, func(*State) { n++ })
+	return n
+}
+
+// walk visits every state reachable from root depth-first, calling
+// visit on each before reading its transitions.
+func (u *Universe) walk(root *State, visit func(*State)) {
+	mark := u.nextEpoch()
+	stack := append(u.stack[:0], root)
+	root.mark = mark
 	for len(stack) > 0 {
-		x := stack[len(stack)-1]
+		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n++
-		for _, tr := range x.trans {
-			if !seen[tr.to] {
-				seen[tr.to] = true
+		visit(s)
+		for _, tr := range s.trans {
+			if tr.to.mark != mark {
+				tr.to.mark = mark
 				stack = append(stack, tr.to)
 			}
 		}
 	}
-	return n
+	u.stack = stack
+}
+
+// nextEpoch starts a traversal: states stamped with the returned value
+// have been reached by it.
+func (u *Universe) nextEpoch() uint32 {
+	u.epoch++
+	return u.epoch
 }

@@ -13,7 +13,8 @@ import (
 // same output (type set); missing transitions are routed to a
 // distinguished error state with its own output.
 //
-// Both roots must be fully expanded (Universe.DFA). The check allocates
+// Both roots must be fully expanded (Universe.DFA, or a passing
+// SingleTypeOK). The check allocates
 // only local structures — a sparse union-find over the states it
 // actually touches, which is what keeps each check near-linear in the
 // smaller automaton rather than in the whole shared universe — so it is
@@ -40,16 +41,17 @@ func (u *Universe) Equivalent(a, b *State) bool {
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, f := range unionFields(top.p, top.q) {
-			n1, n2 := top.p.Next(f), top.q.Next(f)
+		w := fieldWalk{p: top.p.trans, q: top.q.trans}
+		for {
+			_, n1, n2, more := w.next()
+			if !more {
+				break
+			}
 			// A transition missing on one side goes to q_error; q_error's
 			// output differs from every real state's, so the pair is
-			// inequivalent unless both are missing.
+			// inequivalent.
 			if n1 == nil || n2 == nil {
-				if n1 != n2 {
-					return false
-				}
-				continue
+				return false
 			}
 			r1, r2 := uf.find(n1.ID), uf.find(n2.ID)
 			if r1 == r2 {
@@ -112,27 +114,29 @@ func sameTypes(a, b *State) bool {
 	return true
 }
 
-// unionFields returns the sorted union of the transition alphabets of p
-// and q (Σ1 ∪ Σ2 in Algorithm 4).
-func unionFields(p, q *State) []int32 {
-	pf, qf := p.Fields(), q.Fields()
-	out := make([]int32, 0, len(pf)+len(qf))
-	i, j := 0, 0
-	for i < len(pf) && j < len(qf) {
-		switch {
-		case pf[i] < qf[j]:
-			out = append(out, pf[i])
-			i++
-		case pf[i] > qf[j]:
-			out = append(out, qf[j])
-			j++
-		default:
-			out = append(out, pf[i])
-			i++
-			j++
-		}
+// fieldWalk merges the sorted transition lists of two states, visiting
+// the union of their alphabets (Σ1 ∪ Σ2 in Algorithm 4) in ascending
+// field order without allocating.
+type fieldWalk struct {
+	p, q []transition
+}
+
+// next returns the next field of the union and the successors of both
+// states under it; a nil successor means that state lacks the field.
+// more is false once both lists are exhausted.
+func (w *fieldWalk) next() (field int32, n1, n2 *State, more bool) {
+	switch {
+	case len(w.p) == 0 && len(w.q) == 0:
+		return 0, nil, nil, false
+	case len(w.q) == 0 || len(w.p) > 0 && w.p[0].field < w.q[0].field:
+		field, n1 = w.p[0].field, w.p[0].to
+		w.p = w.p[1:]
+	case len(w.p) == 0 || w.q[0].field < w.p[0].field:
+		field, n2 = w.q[0].field, w.q[0].to
+		w.q = w.q[1:]
+	default:
+		field, n1, n2 = w.p[0].field, w.p[0].to, w.q[0].to
+		w.p, w.q = w.p[1:], w.q[1:]
 	}
-	out = append(out, pf[i:]...)
-	out = append(out, qf[j:]...)
-	return out
+	return field, n1, n2, true
 }

@@ -64,20 +64,37 @@ func TestUnionFields(t *testing.T) {
 	g := b.Graph()
 	u := NewUniverse(g)
 	s1, s2 := u.DFA(a1), u.DFA(a2)
-	got := unionFields(s1, s2)
+	got := walkFields(t, s1, s2)
 	// Fields f, h on a1 and g, h on a2 → union of 3 distinct fields.
 	if len(got) != 3 {
-		t.Fatalf("unionFields=%v want 3 fields", got)
+		t.Fatalf("fieldWalk visited %v, want 3 fields", got)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
-			t.Fatal("unionFields not sorted/deduped")
+			t.Fatal("fieldWalk not sorted/deduped")
 		}
 	}
 	// Symmetric.
-	rev := unionFields(s2, s1)
+	rev := walkFields(t, s2, s1)
 	if len(rev) != len(got) {
-		t.Fatal("unionFields not symmetric")
+		t.Fatal("fieldWalk not symmetric")
+	}
+}
+
+// walkFields drains a fieldWalk over p and q, checking each visited
+// successor against Next.
+func walkFields(t *testing.T, p, q *State) []int32 {
+	var out []int32
+	w := fieldWalk{p: p.trans, q: q.trans}
+	for {
+		f, n1, n2, more := w.next()
+		if !more {
+			return out
+		}
+		if n1 != p.Next(f) || n2 != q.Next(f) {
+			t.Fatalf("field %d: fieldWalk successors disagree with Next", f)
+		}
+		out = append(out, f)
 	}
 }
 

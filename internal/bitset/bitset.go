@@ -34,7 +34,7 @@ func New(n int) *Set {
 func (s *Set) Len() int { return s.count }
 
 // Words returns the number of 64-bit words backing the set — the
-// quantity resource budgets meter to bound live points-to memory.
+// quantity resource budgets meter, as growth, to bound points-to memory.
 func (s *Set) Words() int { return len(s.words) }
 
 // IsEmpty reports whether no bits are set.

@@ -29,8 +29,10 @@ type Limits struct {
 	// Facts caps points-to facts propagated by the solver (and scanned
 	// by the FPG builder). It bounds total propagation work.
 	Facts int64
-	// BitsetWords caps live 64-bit words held by the solver's points-to
-	// sets. It bounds the dominant term of solver memory.
+	// BitsetWords caps the cumulative 64-bit points-to words grown by
+	// the job's solves: every word a points-to set grows is charged,
+	// and none is credited back when the set is dropped. It bounds the
+	// dominant term of solver memory.
 	BitsetWords int64
 	// MergePairs caps automata equivalence checks in the heap modeler.
 	// It bounds the quadratic worst case of per-type merging.
@@ -84,8 +86,8 @@ func (m *Meter) AddFacts(n int64) error {
 	return nil
 }
 
-// AddWords adjusts the live bitset-word gauge by n (negative to credit
-// freed storage).
+// AddWords charges n points-to words grown by a solve; the total is
+// cumulative over the job's solves, not a gauge of live storage.
 func (m *Meter) AddWords(n int64) error {
 	if m == nil || m.limits.BitsetWords <= 0 {
 		return nil

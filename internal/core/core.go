@@ -212,9 +212,10 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 		}
 	}
 
-	// Phase 1 (sequential): run SINGLETYPE-CHECK and build all DFAs in
-	// the shared universe, so that phase 2 reads it without locks
-	// ("all shared automata are constructed beforehand", §5).
+	// Phase 1 (sequential): run SINGLETYPE-CHECK, which builds the DFA
+	// of every passing object in the shared universe, so that phase 2
+	// reads it without locks ("all shared automata are constructed
+	// beforehand", §5).
 	pass := make([]bool, len(g.Objs))
 	sumStates := 0
 	for _, nodes := range mergeList {
@@ -224,8 +225,7 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 		for _, n := range nodes {
 			if u.SingleTypeOK(n) {
 				pass[n] = true
-				root := u.DFA(n)
-				sumStates += u.StateCount(root)
+				sumStates += u.StateCount(u.Root(n))
 			}
 		}
 	}

@@ -47,20 +47,27 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLexer checks the lexer in isolation: arbitrary bytes must either
-// tokenize or produce an error, never panic.
+// FuzzLexer checks the lexer in isolation: draining next() over
+// arbitrary bytes must never panic, must make progress, and must end in
+// EOF, with or without a recorded error.
 func FuzzLexer(f *testing.F) {
 	f.Add("class A { }")
 	f.Add("[]()=:,./")
 	f.Add("\xff\xfe")
 	f.Add("// comment only")
+	f.Add("class A {}\nentry A.m/0 \x01")
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := lex(src)
-		if err != nil {
-			return
+		lx := newLexer(src)
+		for n := 0; ; n++ {
+			if n > len(src) {
+				t.Fatalf("more than %d tokens from %d bytes", n, len(src))
+			}
+			if lx.next().kind == tokEOF {
+				break
+			}
 		}
-		if len(toks) == 0 || toks[len(toks)-1].kind != tokEOF {
-			t.Fatal("token stream must end with EOF")
+		if tok := lx.next(); tok.kind != tokEOF {
+			t.Fatalf("token %s after EOF (err %v)", tok, lx.err)
 		}
 	})
 }

@@ -62,78 +62,67 @@ func (t token) String() string {
 	return tokenNames[t.kind]
 }
 
-// lex splits src into tokens. Comments run from "//" to end of line.
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	n := len(src)
-	for i < n {
-		c := src[i]
+// lexer produces the tokens of src one at a time, so a parse holds only
+// its two-token window, never the whole stream. Comments run from "//"
+// to end of line. A lex error is recorded in err and ends the stream:
+// from then on next returns EOF.
+type lexer struct {
+	src  string
+	pos  int
+	line int
+	err  error
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
+
+// punct maps each one-byte punctuation character to its token kind
+// (tokEOF: not punctuation).
+var punct = [256]tokenKind{
+	'{': tokLBrace, '}': tokRBrace, '(': tokLParen, ')': tokRParen,
+	':': tokColon, ',': tokComma, '=': tokAssign, '.': tokDot, '/': tokSlash,
+}
+
+// next returns the next token, or EOF at the end of input or after an
+// error.
+func (lx *lexer) next() token {
+	src, n := lx.src, len(lx.src)
+	for lx.err == nil && lx.pos < n {
+		i, c := lx.pos, src[lx.pos]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			lx.line++
+			lx.pos++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
+			lx.pos++
 		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
+			for lx.pos < n && src[lx.pos] != '\n' {
+				lx.pos++
 			}
-		case c == '{':
-			toks = append(toks, token{tokLBrace, "{", line})
-			i++
-		case c == '}':
-			toks = append(toks, token{tokRBrace, "}", line})
-			i++
-		case c == '(':
-			toks = append(toks, token{tokLParen, "(", line})
-			i++
-		case c == ')':
-			toks = append(toks, token{tokRParen, ")", line})
-			i++
-		case c == ':':
-			toks = append(toks, token{tokColon, ":", line})
-			i++
-		case c == ',':
-			toks = append(toks, token{tokComma, ",", line})
-			i++
-		case c == '=':
-			toks = append(toks, token{tokAssign, "=", line})
-			i++
-		case c == '.':
-			toks = append(toks, token{tokDot, ".", line})
-			i++
-		case c == '/':
-			toks = append(toks, token{tokSlash, "/", line})
-			i++
+		case punct[c] != tokEOF:
+			lx.pos++
+			return token{punct[c], src[i:lx.pos], lx.line}
 		case c == '[':
-			if i+1 < n && src[i+1] == ']' {
-				toks = append(toks, token{tokArr, "[]", line})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("line %d: '[' must be followed by ']'", line)
+			if i+1 == n || src[i+1] != ']' {
+				lx.err = fmt.Errorf("line %d: '[' must be followed by ']'", lx.line)
+				break
 			}
+			lx.pos += 2
+			return token{tokArr, src[i:lx.pos], lx.line}
 		case isIdentStart(rune(c)):
-			j := i
-			for j < n && isIdentPart(rune(src[j])) {
-				j++
+			for lx.pos < n && isIdentPart(rune(src[lx.pos])) {
+				lx.pos++
 			}
-			toks = append(toks, token{tokIdent, src[i:j], line})
-			i = j
+			return token{tokIdent, src[i:lx.pos], lx.line}
 		case c >= '0' && c <= '9':
-			j := i
-			for j < n && src[j] >= '0' && src[j] <= '9' {
-				j++
+			for lx.pos < n && src[lx.pos] >= '0' && src[lx.pos] <= '9' {
+				lx.pos++
 			}
-			toks = append(toks, token{tokInt, src[i:j], line})
-			i = j
+			return token{tokInt, src[i:lx.pos], lx.line}
 		default:
-			return nil, fmt.Errorf("line %d: unexpected character %q", line, rune(c))
+			lx.err = fmt.Errorf("line %d: unexpected character %q", lx.line, rune(c))
 		}
 	}
-	toks = append(toks, token{tokEOF, "", line})
-	return toks, nil
+	return token{tokEOF, "", lx.line}
 }
 
 func isIdentStart(r rune) bool {

@@ -7,33 +7,36 @@ import (
 )
 
 // Parse parses the textual IR in src and returns the resolved program.
-// name is used in error messages (typically a file name).
+// name is used in error messages (typically a file name). A lex error
+// is reported whenever the parse reached it, even if the tokens before
+// it formed a complete file.
 func Parse(name, src string) (*lang.Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	p := &parser{name: name, toks: toks}
+	p := &parser{name: name, lx: newLexer(src)}
+	p.cur = p.lx.next()
+	p.peek = p.lx.next()
 	ast, err := p.file()
+	if p.lx.err != nil {
+		return nil, fmt.Errorf("%s: %w", name, p.lx.err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return build(name, ast)
 }
 
+// parser is a recursive-descent parser over a two-token window: cur and
+// peek are its only lookahead, pulled from the lexer on demand.
 type parser struct {
-	name string
-	toks []token
-	pos  int
+	name      string
+	lx        lexer
+	cur, peek token
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[p.pos+1] }
-
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.cur
 	if t.kind != tokEOF {
-		p.pos++
+		p.cur = p.peek
+		p.peek = p.lx.next()
 	}
 	return t
 }
@@ -43,7 +46,7 @@ func (p *parser) errf(line int, format string, args ...any) error {
 }
 
 func (p *parser) expect(k tokenKind) (token, error) {
-	t := p.cur()
+	t := p.cur
 	if t.kind != k {
 		return t, p.errf(t.line, "expected %s, found %s", tokenNames[k], t)
 	}
@@ -52,14 +55,14 @@ func (p *parser) expect(k tokenKind) (token, error) {
 
 // atKeyword reports whether the current token is the given contextual keyword.
 func (p *parser) atKeyword(kw string) bool {
-	t := p.cur()
+	t := p.cur
 	return t.kind == tokIdent && t.text == kw
 }
 
 func (p *parser) file() (*fileAST, error) {
 	f := &fileAST{}
 	for {
-		t := p.cur()
+		t := p.cur
 		switch {
 		case t.kind == tokEOF:
 			if f.entryName == "" {
@@ -84,7 +87,7 @@ func (p *parser) file() (*fileAST, error) {
 			f.entryClass = dotted(cls[:len(cls)-1])
 			f.entryName = cls[len(cls)-1]
 			f.entryLine = t.line
-			if p.cur().kind == tokSlash {
+			if p.cur.kind == tokSlash {
 				p.next()
 				it, err := p.expect(tokInt)
 				if err != nil {
@@ -107,10 +110,10 @@ func (p *parser) dottedName() ([]string, error) {
 		return nil, err
 	}
 	parts := []string{t.text}
-	for p.cur().kind == tokDot {
+	for p.cur.kind == tokDot {
 		// Only continue when an identifier follows: "x.f = y" must not
 		// swallow the '=' position.
-		if p.peek().kind != tokIdent {
+		if p.peek.kind != tokIdent {
 			break
 		}
 		p.next()
@@ -134,7 +137,7 @@ func (p *parser) typeRef() (typeRef, error) {
 		return typeRef{}, err
 	}
 	tr := typeRef{name: dotted(parts)}
-	for p.cur().kind == tokArr {
+	for p.cur.kind == tokArr {
 		p.next()
 		tr.dims++
 	}
@@ -157,7 +160,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 		}
 		if cd.isInterface {
 			cd.interfaces = append(cd.interfaces, dotted(sup))
-			for p.cur().kind == tokComma {
+			for p.cur.kind == tokComma {
 				p.next()
 				more, err := p.dottedName()
 				if err != nil {
@@ -171,7 +174,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 	}
 	if p.atKeyword(kwImplements) {
 		if cd.isInterface {
-			return nil, p.errf(p.cur().line, "interface %s cannot use 'implements'", cd.name)
+			return nil, p.errf(p.cur.line, "interface %s cannot use 'implements'", cd.name)
 		}
 		p.next()
 		for {
@@ -180,7 +183,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 				return nil, err
 			}
 			cd.interfaces = append(cd.interfaces, dotted(in))
-			if p.cur().kind != tokComma {
+			if p.cur.kind != tokComma {
 				break
 			}
 			p.next()
@@ -189,8 +192,8 @@ func (p *parser) classDecl() (*classDecl, error) {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
-	for p.cur().kind != tokRBrace {
-		if p.cur().kind == tokEOF {
+	for p.cur.kind != tokRBrace {
+		if p.cur.kind == tokEOF {
 			return nil, p.errf(cd.line, "unterminated class %s", cd.name)
 		}
 		static := false
@@ -206,7 +209,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 		switch {
 		case p.atKeyword(kwField):
 			if abstract {
-				return nil, p.errf(p.cur().line, "field cannot be abstract")
+				return nil, p.errf(p.cur.line, "field cannot be abstract")
 			}
 			fd, err := p.fieldDecl(static)
 			if err != nil {
@@ -220,7 +223,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 			}
 			cd.methods = append(cd.methods, md)
 		default:
-			return nil, p.errf(p.cur().line, "expected 'field' or 'method' in class %s, found %s", cd.name, p.cur())
+			return nil, p.errf(p.cur.line, "expected 'field' or 'method' in class %s, found %s", cd.name, p.cur)
 		}
 	}
 	p.next() // }
@@ -256,7 +259,7 @@ func (p *parser) methodDecl(static, abstract bool) (*methodDecl, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	for p.cur().kind != tokRParen {
+	for p.cur.kind != tokRParen {
 		pn, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
@@ -272,7 +275,7 @@ func (p *parser) methodDecl(static, abstract bool) (*methodDecl, error) {
 			return nil, p.errf(pn.line, "parameter %s cannot be void", pn.text)
 		}
 		md.params = append(md.params, paramDecl{name: pn.text, typ: tr})
-		if p.cur().kind == tokComma {
+		if p.cur.kind == tokComma {
 			p.next()
 		}
 	}
@@ -290,8 +293,8 @@ func (p *parser) methodDecl(static, abstract bool) (*methodDecl, error) {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
-	for p.cur().kind != tokRBrace {
-		if p.cur().kind == tokEOF {
+	for p.cur.kind != tokRBrace {
+		if p.cur.kind == tokEOF {
 			return nil, p.errf(md.line, "unterminated method %s", md.name)
 		}
 		st, err := p.stmt()
@@ -309,13 +312,13 @@ func (p *parser) argList() ([]string, error) {
 		return nil, err
 	}
 	var args []string
-	for p.cur().kind != tokRParen {
+	for p.cur.kind != tokRParen {
 		a, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, a.text)
-		if p.cur().kind == tokComma {
+		if p.cur.kind == tokComma {
 			p.next()
 		}
 	}
@@ -324,7 +327,7 @@ func (p *parser) argList() ([]string, error) {
 }
 
 func (p *parser) stmt() (*stmtAST, error) {
-	t := p.cur()
+	t := p.cur
 	switch {
 	case p.atKeyword(kwVar):
 		p.next()
@@ -347,7 +350,7 @@ func (p *parser) stmt() (*stmtAST, error) {
 	case p.atKeyword(kwReturn):
 		p.next()
 		st := &stmtAST{kind: sReturn, line: t.line}
-		if p.cur().kind == tokIdent && !p.startsStmt() {
+		if p.cur.kind == tokIdent && !p.startsStmt() {
 			st.rhs = p.next().text
 		}
 		return st, nil
@@ -375,13 +378,13 @@ func (p *parser) stmt() (*stmtAST, error) {
 // statement keyword, used to disambiguate a bare `return` followed by
 // another statement.
 func (p *parser) startsStmt() bool {
-	switch p.cur().text {
+	switch p.cur.text {
 	case kwVar, kwReturn, kwSpecial, kwThrow:
 		return true
 	}
 	// `x = ...`, `x.f = ...`, `x.m(...)`, `x[] = ...` all continue with
 	// '=', '.', '(' or '[]'; a lone identifier at end of body is a return value.
-	switch p.peek().kind {
+	switch p.peek.kind {
 	case tokAssign, tokDot, tokLParen, tokArr:
 		return true
 	}
@@ -419,12 +422,12 @@ func (p *parser) specialCall(line int, lhs string) (*stmtAST, error) {
 
 // assignOrCall parses statements that begin with an identifier.
 func (p *parser) assignOrCall() (*stmtAST, error) {
-	line := p.cur().line
+	line := p.cur.line
 	first, err := p.dottedName()
 	if err != nil {
 		return nil, err
 	}
-	switch p.cur().kind {
+	switch p.cur.kind {
 	case tokArr: // x[] = y
 		p.next()
 		if len(first) != 1 {
@@ -461,7 +464,7 @@ func (p *parser) assignOrCall() (*stmtAST, error) {
 		return p.assignRHS(line, first[0])
 
 	default:
-		return nil, p.errf(line, "expected '=', '(' or '[]' after %q, found %s", dotted(first), p.cur())
+		return nil, p.errf(line, "expected '=', '(' or '[]' after %q, found %s", dotted(first), p.cur)
 	}
 }
 
@@ -493,7 +496,7 @@ func (p *parser) assignRHS(line int, lhs string) (*stmtAST, error) {
 	case p.atKeyword(kwSpecial):
 		return p.specialCall(line, lhs)
 
-	case p.cur().kind == tokLParen: // cast: lhs = (T) rhs
+	case p.cur.kind == tokLParen: // cast: lhs = (T) rhs
 		p.next()
 		tr, err := p.typeRef()
 		if err != nil {
@@ -511,12 +514,12 @@ func (p *parser) assignRHS(line int, lhs string) (*stmtAST, error) {
 		}
 		return &stmtAST{kind: sCast, line: line, lhs: lhs, typ: tr, rhs: rhs.text}, nil
 
-	case p.cur().kind == tokIdent:
+	case p.cur.kind == tokIdent:
 		parts, err := p.dottedName()
 		if err != nil {
 			return nil, err
 		}
-		switch p.cur().kind {
+		switch p.cur.kind {
 		case tokLParen: // lhs = base.m(args)
 			if len(parts) < 2 {
 				return nil, p.errf(line, "call needs a receiver or class qualifier: %q", dotted(parts))
@@ -541,6 +544,6 @@ func (p *parser) assignRHS(line int, lhs string) (*stmtAST, error) {
 		}
 
 	default:
-		return nil, p.errf(line, "unexpected %s after '='", p.cur())
+		return nil, p.errf(line, "unexpected %s after '='", p.cur)
 	}
 }

@@ -253,6 +253,7 @@ func TestErrors(t *testing.T) {
 		name, src, want string
 	}{
 		{"lex", "class A { \x01 }", "unexpected character"},
+		{"lex-after-file", "class A {}\nentry A.m/0 \x01", "unexpected character"},
 		{"lbracket", "class A[ {}", "'[' must be followed"},
 		{"noentry", "class A {}", "missing 'entry'"},
 		{"badentry", "class A {}\nentry A.main/0", "not declared"},

@@ -50,3 +50,21 @@ func TestSolveCleanAfterMeterExhaustion(t *testing.T) {
 		t.Fatalf("solve after exhausted run diverged: work %d, want %d", got.Work, want.Work)
 	}
 }
+
+// The word budget is cumulative: a solve charges every word its
+// points-to sets grow and never credits any back, so after one fresh
+// solve the meter holds exactly the words those sets occupy.
+func TestMeterWordsCountGrownWords(t *testing.T) {
+	meter := budget.NewMeter(budget.Limits{BitsetWords: 1 << 40})
+	res, err := SolveContext(context.Background(), bigProgram(t), Options{Meter: meter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i := range res.solver.nodes {
+		want += res.solver.nodes[i].pts.Words()
+	}
+	if _, words, _ := meter.Usage(); words != int64(want) || want == 0 {
+		t.Fatalf("meter words %d, points-to sets hold %d words", words, want)
+	}
+}

@@ -49,7 +49,7 @@ type Options struct {
 	Budget   Budget
 
 	// Meter, when non-nil, charges resource budgets (propagated facts,
-	// live bitset words) as the solve runs; exhausting it aborts the run
+	// points-to words grown) as the solve runs; exhausting it aborts the run
 	// with an error wrapping budget.ErrExhausted. Unlike Budget.Work —
 	// which reproduces the paper's "unscalable" cells as a partial
 	// result with Aborted=true — meter exhaustion is a hard failure the
@@ -438,7 +438,7 @@ func (s *solver) chargeWork(units int64) {
 	}
 }
 
-// chargeWords meters growth of live points-to-set storage. Like
+// chargeWords meters growth of points-to-set storage. Like
 // chargeWork it unwinds via sentinel, so exhaustion aborts cleanly from
 // any depth.
 func (s *solver) chargeWords(words int) {

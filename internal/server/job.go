@@ -69,8 +69,9 @@ type JobSpec struct {
 	// daemon was started with -no-degrade).
 	Degrade *bool `json:"degrade,omitempty"`
 	// BudgetFacts, BudgetWords and BudgetPairs cap the job's resource
-	// use (propagated facts, live bitset words, automata merge pairs),
-	// overriding the server-wide defaults; 0 keeps the default.
+	// use (propagated facts, cumulative points-to words grown by the
+	// job's solves, automata merge pairs), overriding the server-wide
+	// defaults; 0 keeps the default.
 	BudgetFacts int64 `json:"budget_facts,omitempty"`
 	BudgetWords int64 `json:"budget_words,omitempty"`
 	BudgetPairs int64 `json:"budget_pairs,omitempty"`

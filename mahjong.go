@@ -190,9 +190,9 @@ var ErrBudgetExhausted = budget.ErrExhausted
 
 // ResourceBudget caps the resources one pipeline run may consume; the
 // zero value means unlimited. The three knobs bound, respectively,
-// propagated points-to facts (solver work + FPG edge facts), live
-// 64-bit words backing points-to bitsets, and automata-equivalence
-// merge-pair tests. One budget covers ALL stages of a run: a solve
+// propagated points-to facts (solver work + FPG edge facts), the
+// cumulative 64-bit points-to words grown by the run's solves, and
+// automata-equivalence merge-pair tests. One budget covers ALL stages of a run: a solve
 // that uses most of the fact budget leaves little for FPG
 // construction, which is the point — the budget bounds the job, not
 // each stage.
