@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-self serve race clean bench bench-save bench-server bench-server-save perfbench perfbench-check deltacheck slowcheck faultmatrix fuzz-smoke trace-smoke cover scenariocheck corpus
+.PHONY: build test lint lint-self serve race clean bench-server perfbench perfbench-check deltacheck slowcheck faultmatrix fuzz-smoke trace-smoke cover scenariocheck corpus
 
 # Optional analyzer subset for `make lint`, passed straight through to
 # mahjongvet: `make lint RUN=atomicmix` or RUN=atomicmix,slotbalance.
@@ -33,21 +33,6 @@ lint-self: ## mahjongvet over its own framework and driver (the linter is module
 serve: ## run the analysis daemon on :8080
 	$(GO) run ./cmd/mahjongd -addr=:8080
 
-bench: ## solver benchmarks, quick single-iteration pass
-	$(GO) test -run '^$$' -bench 'PreAnalysis|Table2' -benchtime=1x -benchmem .
-
-# Checked-in numbers run 3 iterations per benchmark (-benchtime=3x) and
-# benchjson keeps the min across -count repetitions: a single-iteration
-# sample is dominated by scheduling noise, which is what made successive
-# BENCH_solver.json regenerations diff by double digits.
-bench-save: ## record solver benchmark numbers in BENCH_solver.json + BENCH_incremental.json
-	$(GO) test -run '^$$' -bench 'PreAnalysis|Table2' -benchtime=3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_solver.json
-	@echo wrote BENCH_solver.json
-	$(GO) test -run '^$$' -bench 'IncrementalOneMethodEdit' -benchtime=3x . \
-		| $(GO) run ./cmd/benchjson -o BENCH_incremental.json
-	@echo wrote BENCH_incremental.json
-
 # SLO-gated overload smoke: an in-process mahjongd under an open-loop
 # mixed workload at 0.5x/1x/2x measured capacity. Fails when interactive
 # p99 blows the bound, interactive goodput at 2x drops below 80% of its
@@ -55,11 +40,6 @@ bench-save: ## record solver benchmark numbers in BENCH_solver.json + BENCH_incr
 # admission control / shedding / auto-degradation (docs/ROBUSTNESS.md).
 bench-server: ## overload load-harness smoke with SLO gates
 	$(GO) run ./cmd/mahjongbench -levels 0.5,1,2 -duration 3s -calibrate 1s -slo
-
-bench-server-save: ## record server load numbers in BENCH_server.json
-	$(GO) run ./cmd/mahjongbench -levels 0.5,1,2 -duration 5s -calibrate 2s \
-		| $(GO) run ./cmd/benchjson -o BENCH_server.json
-	@echo wrote BENCH_server.json
 
 # perfbench measures the pipeline users run (parser → pre-analysis →
 # FPG → heap modeler → main solve → clients), here layer by layer with

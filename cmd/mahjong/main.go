@@ -41,7 +41,6 @@ func main() {
 	budgetWords := flag.Int64("budget-words", 0, "resource budget: cumulative points-to words grown by the job's solves (0 = unlimited)")
 	budgetPairs := flag.Int64("budget-pairs", 0, "resource budget: automata merge pairs (0 = unlimited)")
 	degrade := flag.Bool("degrade", false, "fall back to -heap=alloc-site when building the Mahjong abstraction fails or exhausts its resource budget")
-	workers := flag.Int("workers", 0, "parallel merge workers (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-class merge details")
 	cgOut := flag.String("callgraph", "", "write the call graph to this file (.dot or .json by extension)")
 	saveAbs := flag.String("save-abstraction", "", "write the built Mahjong abstraction to this JSON file")
@@ -128,7 +127,7 @@ func main() {
 		Trace:      tctx,
 	}
 	if cfg.Heap == mahjong.HeapMahjong {
-		abs, err := obtainAbstraction(ctx, prog, *loadAbs, *workers, resources, tctx)
+		abs, err := obtainAbstraction(ctx, prog, *loadAbs, resources, tctx)
 		switch {
 		case err == nil:
 			cfg.Abstraction = abs
@@ -230,10 +229,9 @@ func degradable(err error) bool {
 
 // obtainAbstraction loads a persisted abstraction when a path is given,
 // otherwise builds one from scratch.
-func obtainAbstraction(ctx context.Context, prog *mahjong.Program, loadPath string, workers int, resources mahjong.ResourceBudget, tctx mahjong.TraceCtx) (*mahjong.Abstraction, error) {
+func obtainAbstraction(ctx context.Context, prog *mahjong.Program, loadPath string, resources mahjong.ResourceBudget, tctx mahjong.TraceCtx) (*mahjong.Abstraction, error) {
 	if loadPath == "" {
 		return mahjong.BuildAbstractionContext(ctx, prog, mahjong.AbstractionOptions{
-			Workers:   workers,
 			Resources: resources,
 			Trace:     tctx,
 		})

@@ -12,10 +12,9 @@
 // retry with jittered exponential backoff honoring Retry-After, like a
 // well-behaved client.
 //
-// Output is `go test -bench` formatted, one line per load level, so it
-// pipes straight into benchjson (see `make bench-server-save`):
+// Output is one `go test -bench` formatted line per load level:
 //
-//	mahjongbench -levels 0.5,1,2 -duration 5s | benchjson -o BENCH_server.json
+//	mahjongbench -levels 0.5,1,2 -duration 5s
 //
 // With -slo the run becomes a gate (see `make bench-server`): it exits
 // non-zero unless the interactive p99 at the highest level stays under
@@ -450,8 +449,8 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-// benchLine renders one level as a `go test -bench` result line that
-// cmd/benchjson parses: iterations + ns/op, then custom-unit pairs.
+// benchLine renders one level as a `go test -bench` result line:
+// iterations + ns/op, then custom-unit pairs.
 func (st *levelStats) benchLine(mult float64) string {
 	sort.Slice(st.latencies, func(i, j int) bool { return st.latencies[i] < st.latencies[j] })
 	sort.Slice(st.iLat, func(i, j int) bool { return st.iLat[i] < st.iLat[j] })

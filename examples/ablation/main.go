@@ -1,10 +1,10 @@
-// Ablation: the §5 optimizations and §3.6.2 design choices, measured.
+// Ablation: the §3.6.2 design choices, measured.
 //
 // This example builds the Mahjong abstraction for one benchmark under
 // each ablation knob exposed by the public API and reports modeling
-// time and the resulting heap, demonstrating that the optimizations
-// change cost, not results — except the null-node knob, which changes
-// the abstraction itself (Example 3.1's trade-off).
+// time and the resulting heap. Type-diverse representatives keep the
+// classes and only re-elect their representatives; the null-node knob
+// changes the abstraction itself (Example 3.1's trade-off).
 //
 // Run with: go run ./examples/ablation
 package main
@@ -28,9 +28,7 @@ func main() {
 		label string
 		opts  mahjong.AbstractionOptions
 	}{
-		{"default (shared automata, parallel)", mahjong.AbstractionOptions{}},
-		{"single worker", mahjong.AbstractionOptions{Workers: 1}},
-		{"no shared automata", mahjong.AbstractionOptions{DisableSharedAutomata: true}},
+		{"default", mahjong.AbstractionOptions{}},
 		{"type-diverse representatives", mahjong.AbstractionOptions{TypeDiverseReps: true}},
 		{"null node omitted", mahjong.AbstractionOptions{OmitNullNode: true}},
 	}
@@ -50,7 +48,7 @@ func main() {
 			rep.Metrics.CallGraphEdges, rep.Metrics.PolyCallSites, rep.Metrics.MayFailCasts)
 	}
 	fmt.Println()
-	fmt.Println("The optimization knobs leave the abstraction and all client metrics")
-	fmt.Println("unchanged; only the null-node knob may alter the merge (coarser, at")
-	fmt.Println("the Example 3.1 precision risk).")
+	fmt.Println("Type-diverse representatives leave the classes unchanged; only the")
+	fmt.Println("null-node knob may alter the merge (coarser, at the Example 3.1")
+	fmt.Println("precision risk).")
 }

@@ -168,13 +168,11 @@ func buildPipeline(ctx context.Context, p *Program, opts AbstractionOptions, bas
 		policy = core.RepTypeDiverse
 	}
 	res, err := core.BuildContext(ctx, g, core.Options{
-		Workers:        opts.Workers,
-		Policy:         policy,
-		DisableSharing: opts.DisableSharedAutomata,
-		Meter:          meter,
-		Trace:          opts.Trace,
-		Reuse:          reuse,
-		CaptureReuse:   capture,
+		Policy:       policy,
+		Meter:        meter,
+		Trace:        opts.Trace,
+		Reuse:        reuse,
+		CaptureReuse: capture,
 	})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("mahjong: heap modeling: %w", err)

@@ -56,15 +56,12 @@ type transition struct {
 // Universe hash-conses DFA states over one FPG so that automata of
 // different objects share their common parts.
 //
-// Root, SingleTypeOK, DFA and StateCount write to the universe: they
-// intern and expand states, reuse its scratch buffers, and stamp the
-// states they reach with a per-universe epoch instead of allocating a
-// visited set. They must not run concurrently with each other or with
-// Equivalent. Equivalent only reads transitions, so once every object
-// of interest is expanded it may run from many goroutines, and so may
-// Root for objects whose root already exists. Package core calls the
-// writing traversals only in its sequential phase 1; its DisableSharing
-// ablation uses a throwaway universe for each check.
+// A Universe is used from one goroutine. Every method may write to it:
+// Root, SingleTypeOK and DFA intern and expand states, the traversals
+// stamp the states they reach with a per-universe epoch instead of
+// allocating a visited set, and Equivalent keeps its union-find and
+// pair stack in universe-owned scratch. Package core's merge loop
+// drives all of them in sequence.
 type Universe struct {
 	g      *fpg.Graph
 	states map[string]*State
@@ -80,6 +77,13 @@ type Universe struct {
 	key     []byte   // hash-consing key of nodes
 	stack   []*State // traversal stack
 	visited []*State // states a SingleTypeOK traversal passed
+
+	// Equivalent's scratch: a union-find over state IDs whose entries
+	// count only when stamped with the current check's epoch.
+	ufParent  []int32
+	ufMark    []uint32
+	ufEpoch   uint32
+	pairStack []statePair
 }
 
 // NewUniverse creates an empty universe over g.
@@ -281,9 +285,8 @@ func (u *Universe) SingleTypeOK(node int) bool {
 	return ok
 }
 
-// DFA fully expands and returns the DFA rooted at {node}. After DFA has
-// been called for every object of interest, the universe may be read
-// concurrently by Equivalent.
+// DFA fully expands and returns the DFA rooted at {node}, ready for
+// Equivalent.
 func (u *Universe) DFA(node int) *State {
 	root := u.Root(node)
 	u.walk(root, u.expand)

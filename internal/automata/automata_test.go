@@ -189,6 +189,32 @@ func TestStateCount(t *testing.T) {
 	}
 }
 
+// TestEquivalentAllocFree: once its scratch has grown, Equivalent
+// allocates nothing, on equivalent and inequivalent pairs alike.
+func TestEquivalentAllocFree(t *testing.T) {
+	b := fpg.NewBuilder()
+	a1, a2, a3 := b.AddObj("A"), b.AddObj("A"), b.AddObj("A")
+	x1, x2 := b.AddObj("X"), b.AddObj("X")
+	y := b.AddObj("Y")
+	b.AddEdge(a1, "f", x1)
+	b.AddEdge(a2, "f", x2)
+	b.AddEdge(a3, "f", x1)
+	b.AddEdge(x1, "g", y)
+	b.AddEdge(x2, "g", y)
+	b.AddEdge(a3, "h", y) // a3 has a field the others lack
+	u := NewUniverse(b.Graph())
+	d1, d2, d3 := u.DFA(a1), u.DFA(a2), u.DFA(a3)
+	check := func() {
+		if !u.Equivalent(d1, d2) || u.Equivalent(d1, d3) {
+			t.Fatal("wrong verdict")
+		}
+	}
+	check() // warm the scratch
+	if n := testing.AllocsPerRun(100, check); n != 0 {
+		t.Fatalf("Equivalent allocated %v times per run on a warmed universe", n)
+	}
+}
+
 // refEquivalent is an independent reference implementation: explicit
 // map-based subset construction and BFS over state pairs comparing type
 // sets, with q_error modeled as a nil set.

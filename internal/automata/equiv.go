@@ -14,17 +14,16 @@ import (
 // distinguished error state with its own output.
 //
 // Both roots must be fully expanded (Universe.DFA, or a passing
-// SingleTypeOK). The check allocates
-// only local structures — a sparse union-find over the states it
-// actually touches, which is what keeps each check near-linear in the
-// smaller automaton rather than in the whole shared universe — so it is
-// safe to run concurrently on a read-only universe.
+// SingleTypeOK). Equivalent never interns or expands, so it does not
+// change state IDs. Its union-find over state IDs and its pair stack
+// are universe-owned scratch, reset per check by an epoch stamp, so a
+// check touches only the states it visits and a warmed universe checks
+// without allocating.
 func (u *Universe) Equivalent(a, b *State) bool {
-	// Injection seam for the fault matrix: this code runs inside the heap
-	// modeler's parallel merge workers, so a bug here is exactly the
-	// "panic in a worker goroutine" case the pipeline's failure isolation
-	// must survive. The pre-typed stage keeps "automata.equiv" (not the
-	// enclosing stage) visible in per-stage failure counters.
+	// Injection seam for the fault matrix: a bug here must fail the
+	// heap modeler's build, not the process. The pre-typed stage keeps
+	// "automata.equiv" (not the enclosing stage) visible in per-stage
+	// failure counters.
 	if err := faultinject.Fire(faultinject.StageEquiv); err != nil {
 		panic(&failure.InternalError{Stage: faultinject.StageEquiv, Value: err, Stack: debug.Stack()})
 	}
@@ -34,10 +33,10 @@ func (u *Universe) Equivalent(a, b *State) bool {
 	if !sameTypes(a, b) {
 		return false
 	}
-	uf := sparseUF{parent: make(map[int]int, 16)}
-	type pair struct{ p, q *State }
-	uf.union(a.ID, b.ID)
-	stack := []pair{{a, b}}
+	u.resetUF()
+	u.union(a.ID, b.ID)
+	stack := append(u.pairStack[:0], statePair{a, b})
+	defer func() { u.pairStack = stack[:0] }()
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -53,7 +52,7 @@ func (u *Universe) Equivalent(a, b *State) bool {
 			if n1 == nil || n2 == nil {
 				return false
 			}
-			r1, r2 := uf.find(n1.ID), uf.find(n2.ID)
+			r1, r2 := u.find(n1.ID), u.find(n2.ID)
 			if r1 == r2 {
 				continue
 			}
@@ -63,41 +62,58 @@ func (u *Universe) Equivalent(a, b *State) bool {
 			if !sameTypes(n1, n2) {
 				return false
 			}
-			uf.union(r1, r2)
-			stack = append(stack, pair{n1, n2})
+			u.union(r1, r2)
+			stack = append(stack, statePair{n1, n2})
 		}
 	}
 	return true
 }
 
-// sparseUF is a map-backed union-find with path halving, sized by the
-// states a single equivalence check visits (usually a handful) rather
-// than the whole universe.
-type sparseUF struct {
-	parent map[int]int
+// statePair is one pending pair of Equivalent's Hopcroft–Karp walk.
+type statePair struct{ p, q *State }
+
+// resetUF starts a fresh union-find over state IDs: entries stamped
+// with an older epoch read as singletons. The slices grow to cover
+// every state interned so far; Equivalent interns none, so one check
+// never outgrows them.
+func (u *Universe) resetUF() {
+	if n := len(u.all) + 1; len(u.ufParent) < n {
+		n += n / 2
+		u.ufParent = make([]int32, n)
+		u.ufMark = make([]uint32, n)
+		u.ufEpoch = 0
+	}
+	u.ufEpoch++
+	if u.ufEpoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(u.ufMark)
+		u.ufEpoch = 1
+	}
 }
 
-func (s *sparseUF) find(x int) int {
-	p, ok := s.parent[x]
-	if !ok {
-		s.parent[x] = x
+// find returns the representative of state ID x, halving the path.
+// Every parent link was set in the current epoch, so only x itself can
+// carry a stale stamp.
+func (u *Universe) find(x int) int {
+	if u.ufMark[x] != u.ufEpoch {
+		u.ufMark[x] = u.ufEpoch
+		u.ufParent[x] = int32(x)
 		return x
 	}
-	for p != x {
-		gp, ok := s.parent[p]
-		if !ok {
-			gp = p
+	for {
+		p := int(u.ufParent[x])
+		if p == x {
+			return x
 		}
-		s.parent[x] = gp
-		x, p = p, gp
+		gp := u.ufParent[p]
+		u.ufParent[x] = gp
+		x = int(gp)
 	}
-	return x
 }
 
-func (s *sparseUF) union(x, y int) {
-	rx, ry := s.find(x), s.find(y)
-	if rx != ry {
-		s.parent[ry] = rx
+// union joins the classes of state IDs x and y.
+func (u *Universe) union(x, y int) {
+	if rx, ry := u.find(x), u.find(y); rx != ry {
+		u.ufParent[ry] = int32(rx)
 	}
 }
 

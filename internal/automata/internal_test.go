@@ -9,40 +9,65 @@ import (
 	"mahjong/internal/unionfind"
 )
 
+// scratchUF returns a universe whose Equivalent union-find covers state
+// IDs [0, n], started on a fresh epoch.
+func scratchUF(n int) *Universe {
+	u := &Universe{all: make([]*State, n)}
+	u.resetUF()
+	return u
+}
+
 func TestSparseUF(t *testing.T) {
-	uf := sparseUF{parent: map[int]int{}}
-	if uf.find(7) != 7 {
+	u := scratchUF(10)
+	if u.find(7) != 7 {
 		t.Fatal("fresh element should be its own root")
 	}
-	uf.union(1, 2)
-	uf.union(2, 3)
-	if uf.find(1) != uf.find(3) {
+	u.union(1, 2)
+	u.union(2, 3)
+	if u.find(1) != u.find(3) {
 		t.Fatal("transitive union broken")
 	}
-	if uf.find(1) == uf.find(9) {
+	if u.find(1) == u.find(9) {
 		t.Fatal("disjoint elements merged")
 	}
-	uf.union(1, 1) // self-union is a no-op
-	if uf.find(1) != uf.find(2) {
+	u.union(1, 1) // self-union is a no-op
+	if u.find(1) != u.find(2) {
 		t.Fatal("self-union corrupted the set")
+	}
+	// A new epoch forgets every earlier union without clearing the slices.
+	u.resetUF()
+	if u.find(1) == u.find(3) {
+		t.Fatal("union survived the epoch reset")
+	}
+	// An epoch counter that wraps around clears the stamps instead of
+	// letting old ones alias the new epoch.
+	u.union(1, 3)
+	u.ufEpoch = ^uint32(0)
+	u.ufMark[2], u.ufParent[2] = 1, 3
+	u.resetUF()
+	if u.ufEpoch != 1 || u.find(2) != 2 {
+		t.Fatalf("wrapped epoch %d kept a stale link: find(2)=%d", u.ufEpoch, u.find(2))
 	}
 }
 
-// TestQuickSparseVsDense: the sparse union-find must agree with the
-// dense Forest on arbitrary operation sequences.
+// TestQuickSparseVsDense: the epoch-stamped union-find must agree with
+// the dense Forest on arbitrary operation sequences, across resets.
 func TestQuickSparseVsDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(30)
-		sp := sparseUF{parent: map[int]int{}}
-		dn := unionfind.New(n)
-		for i := 0; i < 60; i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if rng.Intn(2) == 0 {
-				sp.union(a, b)
-				dn.Union(a, b)
-			} else if (sp.find(a) == sp.find(b)) != dn.Same(a, b) {
-				return false
+		sp := scratchUF(n)
+		for round := 0; round < 3; round++ {
+			sp.resetUF()
+			dn := unionfind.New(n + 1)
+			for i := 0; i < 60; i++ {
+				a, b := rng.Intn(n+1), rng.Intn(n+1)
+				if rng.Intn(2) == 0 {
+					sp.union(a, b)
+					dn.Union(a, b)
+				} else if (sp.find(a) == sp.find(b)) != dn.Same(a, b) {
+					return false
+				}
 			}
 		}
 		return true

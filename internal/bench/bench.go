@@ -93,55 +93,27 @@ func Prepare(name string) (*Program, error) {
 	return PrepareProgram(name, prog)
 }
 
-// PipelineResult bundles one run of the §6.1.1 pre-analysis pipeline:
-// the context-insensitive Andersen solve, the field points-to graph,
-// and the Mahjong heap modeling, with per-stage wall times.
-type PipelineResult struct {
-	Pre     *pta.Result
-	Graph   *fpg.Graph
-	Mahjong *core.Result
-
-	PreTime, FPGTime, ModelTime time.Duration
-}
-
-// Pipeline runs the full pre-analysis pipeline on prog. It is the one
-// shared definition of "the pipeline" for the harness and the root
-// benchmarks — PrepareProgram and BenchmarkPreAnalysis both use it, so
-// what the pre-analysis costs cannot drift between the two.
-func Pipeline(prog *lang.Program) (*PipelineResult, error) {
+// PrepareProgram runs the §6.1.1 pre-analysis pipeline on an arbitrary
+// program: the context-insensitive Andersen solve, the field points-to
+// graph and the Mahjong heap modeling, each timed.
+func PrepareProgram(name string, prog *lang.Program) (*Program, error) {
+	p := &Program{Name: name, Prog: prog}
 	t0 := time.Now()
 	pre, err := pta.Solve(prog, pta.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("pre-analysis: %w", err)
+		return nil, fmt.Errorf("%s: pre-analysis: %w", name, err)
 	}
 	if pre.Aborted {
-		return nil, fmt.Errorf("pre-analysis aborted")
+		return nil, fmt.Errorf("%s: pre-analysis aborted", name)
 	}
-	r := &PipelineResult{Pre: pre, PreTime: time.Since(t0)}
+	p.Pre, p.PreTime = pre, time.Since(t0)
 
 	t1 := time.Now()
-	r.Graph = fpg.Build(pre, fpg.Options{})
-	r.FPGTime = time.Since(t1)
+	p.Graph = fpg.Build(pre, fpg.Options{})
+	p.FPGTime = time.Since(t1)
 
-	r.Mahjong = core.Build(r.Graph, core.Options{})
-	r.ModelTime = r.Mahjong.Duration
-	return r, nil
-}
-
-// PrepareProgram runs the pipeline on an arbitrary program (used by the
-// CLI on parsed IR files).
-func PrepareProgram(name string, prog *lang.Program) (*Program, error) {
-	p := &Program{Name: name, Prog: prog}
-	pr, err := Pipeline(prog)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	p.Pre = pr.Pre
-	p.PreTime = pr.PreTime
-	p.Graph = pr.Graph
-	p.FPGTime = pr.FPGTime
-	p.Mahjong = pr.Mahjong
-	p.MahjongTime = pr.ModelTime
+	p.Mahjong = core.Build(p.Graph, core.Options{})
+	p.MahjongTime = p.Mahjong.Duration
 
 	total, max := 0, 0
 	for id := 1; id < len(p.Graph.Objs); id++ {

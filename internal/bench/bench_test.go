@@ -142,6 +142,9 @@ func TestScalabilityClassification(t *testing.T) {
 
 func TestTablesRender(t *testing.T) {
 	s := NewSuite()
+	if len(s.Programs) != 12 {
+		t.Fatalf("suite covers %d programs, want all 12 benchmarks", len(s.Programs))
+	}
 	s.Programs = []string{"luindex"}
 	s.Repeat = 1
 	var sb strings.Builder

@@ -43,7 +43,7 @@ type Limits struct {
 func (l Limits) Zero() bool { return l == Limits{} }
 
 // Meter counts consumption against Limits. It is safe for concurrent
-// use (the heap modeler's merge workers charge it in parallel). A nil
+// use. A nil
 // *Meter is valid and never exhausts, so unbudgeted runs pay only a nil
 // check at each seam.
 type Meter struct {

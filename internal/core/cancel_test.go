@@ -52,8 +52,8 @@ func TestBuildContextPreCancelled(t *testing.T) {
 
 func TestBuildContextBackgroundMatchesBuild(t *testing.T) {
 	g := mergeableFPG(t)
-	want := Build(g, Options{Workers: 1})
-	got, err := BuildContext(context.Background(), g, Options{Workers: 1})
+	want := Build(g, Options{})
+	got, err := BuildContext(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,21 +5,18 @@
 // the merged object map (MOM) that a subsequent points-to analysis
 // consumes through pta.NewMergedSiteModel.
 //
-// The §5 optimizations are implemented and individually controllable
-// for ablation: the disjoint-set forest (package unionfind), shared
-// sequential automata (package automata's Universe), and
-// synchronization-free parallel type-consistency checks partitioned by
-// object type.
+// Two of the §5 optimizations are built in: the disjoint-set forest
+// (package unionfind) and shared sequential automata (package
+// automata's Universe). Type groups are merged one after another on a
+// single goroutine; the paper's parallel type-consistency checks are
+// not implemented.
 package core
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mahjong/internal/automata"
@@ -50,24 +47,17 @@ const (
 
 // Options configures the heap modeler.
 type Options struct {
-	// Workers bounds the goroutines running per-type merging; 0 means
-	// GOMAXPROCS, 1 disables parallelism (ablation).
-	Workers int
 	// Policy selects equivalence-class representatives.
 	Policy RepPolicy
-	// DisableSharing rebuilds automata in a private universe per object
-	// pair instead of hash-consing them in a shared one (ablation of the
-	// §5 "shared sequential automata" optimization). Semantics are
-	// unchanged; only time/space differ.
-	DisableSharing bool
 	// Meter, when non-nil, charges the shared per-job resource budget one
 	// merge pair per equivalence test; exhaustion aborts BuildContext with
 	// an error wrapping budget.ErrExhausted.
 	Meter *budget.Meter
 
 	// Trace, when enabled, records a "core.build" span with one
-	// "automata.equiv" child per merge worker, attributing merge pairs
-	// per worker. The zero Ctx disables tracing at no cost.
+	// "automata.equiv" child covering the merge loop; both count the
+	// equivalence tests run as merge_pairs. The zero Ctx disables
+	// tracing at no cost.
 	Trace trace.Ctx
 
 	// Reuse, when non-nil, replays the partition of every type group
@@ -134,14 +124,12 @@ func Build(g *fpg.Graph, opts Options) *Result {
 	return res
 }
 
-// BuildContext is Build with cancellation and resource budgeting: both
-// merge phases check ctx (the parallel per-type workers between
-// candidate objects), and a cancelled or timed-out context aborts
-// modeling with an error wrapping context.Canceled or
-// context.DeadlineExceeded. A panic anywhere in the modeler — including
-// inside the parallel merge workers — is recovered into a
-// *failure.InternalError rather than tearing down the process; the
-// first such failure cancels the remaining workers.
+// BuildContext is Build with cancellation and resource budgeting: the
+// merge loop checks ctx before each candidate object, and a cancelled
+// or timed-out context aborts modeling with an error wrapping
+// context.Canceled or context.DeadlineExceeded. A panic anywhere in the
+// modeler is recovered into a *failure.InternalError rather than
+// tearing down the process.
 func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result, err error) {
 	// Registered before the stage guard so the span closes tagged with
 	// the recovered error (see pta.SolveContext for the idiom).
@@ -155,10 +143,6 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 		ctx = context.Background() //lint:allow ctxflow nil-context normalization at the API boundary, not a detached root
 	}
 	start := time.Now()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	u := automata.NewUniverse(g)
 
@@ -174,7 +158,8 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 			groupList = append(groupList, nodes)
 		}
 	}
-	// Deterministic order (largest groups first helps load balancing).
+	// Deterministic order, largest groups first: it fixes the order in
+	// which DFA states are interned, and so their IDs.
 	sort.Slice(groupList, func(i, j int) bool {
 		if len(groupList[i]) != len(groupList[j]) {
 			return len(groupList[i]) > len(groupList[j])
@@ -183,7 +168,7 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 	})
 
 	// Merge reuse (see reuse.go): groups whose reachable sub-FPG
-	// fingerprint matches the captured base build skip both phases —
+	// fingerprint matches the captured base build skip the merge loop —
 	// their base partition is replayed into the union-find directly.
 	// Capture and matching share one reuser so fingerprints computed for
 	// matching are not hashed again at capture time.
@@ -212,135 +197,9 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 		}
 	}
 
-	// Phase 1 (sequential): run SINGLETYPE-CHECK, which builds the DFA
-	// of every passing object in the shared universe, so that phase 2
-	// reads it without locks ("all shared automata are constructed
-	// beforehand", §5).
-	pass := make([]bool, len(g.Objs))
-	sumStates := 0
-	for _, nodes := range mergeList {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: heap modeling interrupted: %w", err)
-		}
-		for _, n := range nodes {
-			if u.SingleTypeOK(n) {
-				pass[n] = true
-				sumStates += u.StateCount(u.Root(n))
-			}
-		}
-	}
-
-	// Phase 2 (parallel): within each type group, compare each candidate
-	// against the running list of class representatives. Groups touch
-	// disjoint union-find trees (merging never crosses types), so the
-	// shared forest needs no synchronization across groups.
-	//
-	// Failure isolation: a panic or budget exhaustion inside ANY worker
-	// must not tear down the process (a worker panic would bypass every
-	// caller-side recover). The first failure is latched through fail,
-	// which also cancels mergeCtx so the other workers drain quickly;
-	// partial merges stay sound but the whole result is discarded.
-	mergeCtx, cancelMerge := context.WithCancel(ctx)
-	defer cancelMerge()
-	var (
-		failOnce sync.Once
-		mergeErr error
-	)
-	fail := func(e error) {
-		failOnce.Do(func() {
-			mergeErr = e
-			cancelMerge()
-		})
-	}
-	mergeGroup := func(nodes []int, pairs *int64) {
-		var reps []int
-		for _, n := range nodes {
-			if mergeCtx.Err() != nil {
-				return // partial merges stay sound; the caller discards them
-			}
-			if !pass[n] {
-				continue
-			}
-			merged := false
-			for _, r := range reps {
-				if merr := opts.Meter.AddPairs(1); merr != nil {
-					fail(merr)
-					return
-				}
-				*pairs++
-				if equivalent(u, g, opts, r, n) {
-					uf.Union(r, n)
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				reps = append(reps, n)
-			}
-		}
-	}
-	// runGroup isolates one group's merge: a recovered panic latches the
-	// first error and closes the worker's span tagged with it (the first
-	// close wins, so the worker loop's normal End becomes a no-op).
-	runGroup := func(nodes []int, wsp trace.Span, pairs *int64) {
-		defer func() {
-			if r := recover(); r != nil {
-				e := failure.AsInternal(faultinject.StageModel, r)
-				wsp.Close(e)
-				fail(e)
-			}
-		}()
-		mergeGroup(nodes, pairs)
-	}
-	// Each merge worker gets its own "automata.equiv" span attributed by
-	// worker index, counting the equivalence pairs it tested; the spans
-	// sum to the parent's merge_pairs total. The sequential path is
-	// worker 0, so traced runs always see at least one worker span.
-	var totalPairs int64
-	if workers == 1 || len(mergeList) < 2 {
-		wsp := sp.Ctx().Start(faultinject.StageEquiv)
-		wsp.Worker(0)
-		var pairs int64
-		for _, nodes := range mergeList {
-			runGroup(nodes, wsp, &pairs)
-		}
-		wsp.Add("merge_pairs", pairs)
-		wsp.End()
-		totalPairs = pairs
-	} else {
-		var wg sync.WaitGroup
-		var pairsTotal atomic.Int64
-		work := make(chan []int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wsp := sp.Ctx().Start(faultinject.StageEquiv)
-				wsp.Worker(w)
-				var pairs int64
-				for nodes := range work {
-					runGroup(nodes, wsp, &pairs)
-				}
-				wsp.Add("merge_pairs", pairs)
-				wsp.End()
-				pairsTotal.Add(pairs)
-			}(w)
-		}
-		for _, nodes := range mergeList {
-			work <- nodes
-		}
-		close(work)
-		wg.Wait()
-		totalPairs = pairsTotal.Load()
-	}
-	if mergeErr != nil {
-		if ie, ok := mergeErr.(*failure.InternalError); ok {
-			return nil, ie
-		}
-		return nil, fmt.Errorf("core: %w", mergeErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: heap modeling interrupted: %w", err)
+	sumStates, pairs, err := mergeGroups(ctx, sp.Ctx(), u, uf, mergeList, opts.Meter)
+	if err != nil {
+		return nil, err
 	}
 
 	res = buildResult(g, uf, opts.Policy)
@@ -357,23 +216,62 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 	sp.Add("classes", int64(len(res.Classes)))
 	sp.Add("dfa_states", int64(res.DFAStates))
 	sp.Add("sum_dfa_states", int64(res.SumDFAStates))
-	sp.Add("merge_pairs", totalPairs)
+	sp.Add("merge_pairs", pairs)
 	sp.Add("reused_groups", int64(res.ReusedGroups))
 	sp.Add("remerged_groups", int64(res.RemergedGroups))
 	return res, nil
 }
 
-// equivalent tests automata equivalence of two objects, honoring the
-// sharing ablation.
-func equivalent(u *automata.Universe, g *fpg.Graph, opts Options, a, b int) bool {
-	if !opts.DisableSharing {
-		return u.Equivalent(u.Root(a), u.Root(b))
+// mergeGroups is Algorithm 1's merge loop. Within each type group, an
+// object that passes SINGLETYPE-CHECK is compared against the group's
+// running list of class representatives and joins the first equivalent
+// one, else becomes a representative itself. It returns the summed
+// per-object DFA sizes of the passing objects and the number of
+// equivalence tests run.
+//
+// Interning happens only in SingleTypeOK, group by group in list order,
+// so DFA state IDs do not depend on the equivalence checks.
+//
+// All checks run under one "automata.equiv" span. A panic, budget
+// exhaustion or cancellation closes it tagged with the error; partial
+// merges stay sound, but the caller discards them.
+func mergeGroups(ctx context.Context, tc trace.Ctx, u *automata.Universe, uf *unionfind.Forest, groups [][]int, meter *budget.Meter) (sumStates int, pairs int64, err error) {
+	sp := tc.Start(faultinject.StageEquiv)
+	defer func() {
+		sp.Add("merge_pairs", pairs)
+		sp.Close(err)
+	}()
+	defer failure.Recover(faultinject.StageModel, &err)
+	var reps []int
+	for _, nodes := range groups {
+		reps = reps[:0]
+		for _, n := range nodes {
+			if err := ctx.Err(); err != nil {
+				return 0, pairs, fmt.Errorf("core: heap modeling interrupted: %w", err)
+			}
+			if !u.SingleTypeOK(n) {
+				continue
+			}
+			root := u.Root(n)
+			sumStates += u.StateCount(root)
+			merged := false
+			for _, r := range reps {
+				if err := meter.AddPairs(1); err != nil {
+					return 0, pairs, fmt.Errorf("core: %w", err)
+				}
+				pairs++
+				if u.Equivalent(u.Root(r), root) {
+					uf.Union(r, n)
+					merged = true
+					break
+				}
+			}
+			if !merged {
+				reps = append(reps, n)
+			}
+		}
 	}
-	// Ablation: rebuild both automata from scratch in a throwaway
-	// universe, as a non-sharing implementation would.
-	fresh := automata.NewUniverse(g)
-	da, db := fresh.DFA(a), fresh.DFA(b)
-	return fresh.Equivalent(da, db)
+	return sumStates, pairs, nil
 }
 
 // buildResult turns the union-find partition into classes and the MOM.

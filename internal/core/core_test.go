@@ -161,39 +161,6 @@ func TestSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestParallelDeterminism(t *testing.T) {
-	_, g, _ := figure1FPG(t)
-	base := Build(g, Options{Workers: 1})
-	for _, workers := range []int{2, 4, 8} {
-		got := Build(g, Options{Workers: workers})
-		if got.NumMerged != base.NumMerged {
-			t.Fatalf("workers=%d merged=%d want %d", workers, got.NumMerged, base.NumMerged)
-		}
-		for site, rep := range base.MOM {
-			if got.MOM[site] != rep {
-				t.Fatalf("workers=%d MOM differs at %v", workers, site)
-			}
-		}
-	}
-}
-
-func TestDisableSharingSameResult(t *testing.T) {
-	_, g, _ := figure1FPG(t)
-	a := Build(g, Options{})
-	b := Build(g, Options{DisableSharing: true})
-	if a.NumMerged != b.NumMerged {
-		t.Fatalf("sharing changed results: %d vs %d", a.NumMerged, b.NumMerged)
-	}
-	for site, rep := range a.MOM {
-		if b.MOM[site] != rep {
-			t.Fatal("sharing changed MOM")
-		}
-	}
-	if a.DFAStates > a.SumDFAStates {
-		t.Fatalf("shared states %d exceed unshared sum %d", a.DFAStates, a.SumDFAStates)
-	}
-}
-
 // repPolicyGraph builds Figure 7's scenario: class T allocates o1 and
 // o2 (sites in T), class U allocates o3; o1 ≡ o3 (both .f → X), o2 is
 // separate (.f → Y).

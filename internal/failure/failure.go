@@ -3,7 +3,7 @@
 //
 // Every entry point of the Mahjong pipeline — the points-to solver
 // (pta.SolveContext), the FPG builder (fpg.BuildContext), the heap
-// modeler (core.BuildContext, including its parallel merge workers),
+// modeler (core.BuildContext, including its equivalence checks),
 // client evaluation, and the mahjongd job workers — converts an escaping
 // panic into an *InternalError carrying the stage name and the captured
 // stack, instead of letting it unwind the process. One poisoned program

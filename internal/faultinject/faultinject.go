@@ -35,7 +35,7 @@ const (
 	// StageModel fires at the entry of the heap modeler.
 	StageModel = "core.build"
 	// StageEquiv fires before each automata equivalence check, inside
-	// the modeler's (possibly parallel) merge workers.
+	// the heap modeler's merge loop.
 	StageEquiv = "automata.equiv"
 	// StageClients fires before client-metric evaluation.
 	StageClients = "clients.evaluate"

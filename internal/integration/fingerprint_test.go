@@ -153,7 +153,7 @@ func fingerprintProgram(t *testing.T, prog *lang.Program) programFingerprint {
 			out.FPGEdges += len(e.Targets)
 		}
 	}
-	mom := core.Build(g, core.Options{Workers: 1})
+	mom := core.Build(g, core.Options{})
 	out.MOM = momSignature(mom.MOM)
 	out.Merged = mom.NumMerged
 	main, err := pta.Solve(prog, pta.Options{Selector: pta.KObj{K: 2}, Heap: mom.HeapModel()})

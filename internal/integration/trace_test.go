@@ -55,14 +55,13 @@ func examplePrograms(t *testing.T) map[string]*mahjong.Program {
 }
 
 // tracedRun executes the full pipeline (abstraction build + main
-// analysis + clients) single-threaded under one tracer and returns the
+// analysis + clients) under one tracer and returns the
 // snapshot alongside the pipeline's own accounting.
 func tracedRun(t *testing.T, prog *mahjong.Program, analysis string) (*trace.Trace, *mahjong.Abstraction, *mahjong.Report) {
 	t.Helper()
 	tracer := trace.New()
 	abs, err := mahjong.BuildAbstractionContext(context.Background(), prog, mahjong.AbstractionOptions{
-		Workers: 1,
-		Trace:   tracer.Root(),
+		Trace: tracer.Root(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,24 +151,21 @@ func TestSpanAccounting(t *testing.T) {
 			wantCounter(t, snap, main, "work", rep.Work)
 
 			// Heap-modeling counters match the built abstraction, and the
-			// per-worker equivalence spans sum to the parent's merge_pairs.
+			// one equivalence span carries the parent's merge_pairs.
 			model := spansOf(snap, faultinject.StageModel)[0]
 			wantCounter(t, snap, model, "objects", int64(abs.Objects))
 			wantCounter(t, snap, model, "merged_objects", int64(abs.MergedObjects))
-			var pairs int64
-			workers := 0
+			var equiv []int
 			for _, c := range childrenOf(snap, model) {
-				if snap.Spans[c].Stage != faultinject.StageEquiv {
-					continue
+				if snap.Spans[c].Stage == faultinject.StageEquiv {
+					equiv = append(equiv, c)
 				}
-				workers++
-				v, _ := snap.Spans[c].Counter("merge_pairs")
-				pairs += v
 			}
-			if workers == 0 {
-				t.Fatal("no automata.equiv worker spans under core.build")
+			if len(equiv) != 1 {
+				t.Fatalf("want exactly 1 automata.equiv span under core.build, got %d", len(equiv))
 			}
-			wantCounter(t, snap, model, "merge_pairs", pairs)
+			pairs, _ := snap.Spans[model].Counter("merge_pairs")
+			wantCounter(t, snap, equiv[0], "merge_pairs", pairs)
 
 			// Client metrics mirror Report.Metrics.
 			cl := spansOf(snap, faultinject.StageClients)[0]
@@ -261,8 +257,7 @@ func TestTracePanicPaths(t *testing.T) {
 			faultinject.Set(faultinject.OnStage(stage, faultinject.Once(faultinject.PanicWith("injected: "+stage))))
 			tracer := trace.New()
 			abs, err := mahjong.BuildAbstractionContext(context.Background(), prog, mahjong.AbstractionOptions{
-				Workers: 1,
-				Trace:   tracer.Root(),
+				Trace: tracer.Root(),
 			})
 			if err == nil && stage != faultinject.StageClients {
 				t.Fatalf("abstraction build survived a %s panic", stage)
@@ -307,7 +302,6 @@ func TestTraceBudgetAndCancelPaths(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
 		tracer := trace.New()
 		_, err := mahjong.BuildAbstractionContext(context.Background(), prog, mahjong.AbstractionOptions{
-			Workers:   1,
 			Resources: mahjong.ResourceBudget{Facts: 10},
 			Trace:     tracer.Root(),
 		})

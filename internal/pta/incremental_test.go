@@ -251,10 +251,10 @@ func TestIncrementalEquivalenceSeedFault(t *testing.T) {
 }
 
 // TestIncrementalReplayWorkReduction is the deterministic speedup gate
-// behind the BENCH_incremental.json numbers: after a one-method edit on
-// a benchmark-scale subject, the warm solve's propagation work counter
-// must come in at <= 1/5 of the cold solve's. Work is a deterministic
-// counter, so this cannot flake the way wall-clock ratios do.
+// of the warm solve: after a one-method edit on a benchmark-scale
+// subject, the warm solve's propagation work counter must come in at
+// <= 1/5 of the cold solve's. Work is a deterministic counter, so this
+// cannot flake the way wall-clock ratios do.
 func TestIncrementalReplayWorkReduction(t *testing.T) {
 	prof, err := synth.ProfileByName("checkstyle")
 	if err != nil {

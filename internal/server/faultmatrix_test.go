@@ -20,9 +20,9 @@ import (
 )
 
 // matrixIR extends testIR with two multi-site type groups (B×3, C×2),
-// so the heap modeler runs real automata-equivalence checks on its
-// parallel merge workers (the "automata.equiv" seam fires inside
-// worker goroutines, and merge-pair budgets can exhaust).
+// so the heap modeler runs real automata-equivalence checks in its merge
+// loop (the "automata.equiv" seam fires there, and merge-pair budgets
+// can exhaust).
 const matrixIR = `
 class A {
   field f: A
@@ -184,9 +184,9 @@ func TestFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("equiv panic in merge worker degrades", func(t *testing.T) {
-		// The equivalence seam fires inside the modeler's parallel merge
-		// workers: an uncontained panic there would kill the process, not
-		// just the job.
+		// The equivalence seam fires inside the modeler's merge loop: an
+		// uncontained panic there would kill the process, not just the
+		// job.
 		v, snap, ts := runCase(t,
 			faultinject.OnStage(faultinject.StageEquiv, faultinject.Once(faultinject.PanicWith("injected equiv bug"))),
 			JobSpec{IR: matrixIR})

@@ -77,10 +77,12 @@ type JobSpec struct {
 	BudgetPairs int64 `json:"budget_pairs,omitempty"`
 	// BaseJobID names a previously completed job whose retained analysis
 	// state this job's abstraction build should solve incrementally
-	// against (mahjong heap only). When the base state is unavailable —
-	// the job failed, was evicted from the retention window, or never
-	// built a Mahjong abstraction — the build silently falls back to
-	// from-scratch and records the reason in the job view.
+	// against (mahjong heap only). Finished jobs are kept for the
+	// daemon's lifetime, but only the Config.DeltaStates most recently
+	// used analysis states are retained. When the base state is
+	// unavailable — the job failed, its state was evicted from that LRU,
+	// or it never built a Mahjong abstraction — the build silently falls
+	// back to from-scratch and records the reason in the job view.
 	BaseJobID string `json:"base_job_id,omitempty"`
 	// Class selects the scheduling class: "interactive" (default),
 	// "incremental" (the default when base_job_id is set), or "batch".

@@ -2,7 +2,7 @@
 // wrapping the Mahjong pipeline. Programs (textual IR or built-in
 // benchmark names) are submitted as asynchronous jobs, executed on a
 // bounded worker pool under per-job deadlines (context cancellation is
-// threaded down to the solver worklist and the parallel merge workers),
+// threaded down to the solver worklist and the heap modeler's merge loop),
 // and their results — points-to sets, call graphs, may-fail casts, poly
 // call sites — are served from completed jobs. Built abstractions are
 // cached by content hash of the canonical IR, so repeated analyses of
@@ -204,7 +204,7 @@ func (s *Server) shutdown() {
 		}
 		// Grace expired (or everything drained): cancel whatever is
 		// still running so the workers can exit promptly. The solver and
-		// merge workers poll their context, so cancellation propagates.
+		// the merge loop poll their context, so cancellation propagates.
 		// cancelBase closes the base context under every job — including
 		// one that raced into a worker after the cancelRunning sweep.
 		s.cancelRunning()

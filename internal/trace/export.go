@@ -23,7 +23,6 @@ type SpanInfo struct {
 	ID       int       `json:"id"`
 	Parent   int       `json:"parent"`
 	Stage    string    `json:"stage"`
-	Worker   int       `json:"worker"` // -1 unless attributed to a merge worker
 	StartNS  int64     `json:"start_ns"`
 	DurNS    int64     `json:"dur_ns"`
 	Fail     string    `json:"fail,omitempty"`
@@ -31,10 +30,10 @@ type SpanInfo struct {
 	Counters []Counter `json:"counters,omitempty"`
 }
 
-// Trace is a deterministic export of one tracer's spans: siblings
-// ordered by (worker, creation order), IDs renumbered in pre-order,
-// counters sorted by name. Two runs of the same program with the same
-// options produce identical traces after Scrub.
+// Trace is a deterministic export of one tracer's spans: siblings in
+// creation order, IDs renumbered in pre-order, counters sorted by name.
+// Two runs of the same program with the same options produce identical
+// traces after Scrub.
 type Trace struct {
 	Version int        `json:"version"`
 	Start   string     `json:"start,omitempty"` // wall-clock RFC3339Nano; scrubbed in goldens
@@ -53,11 +52,9 @@ func (t *Tracer) Snapshot() *Trace {
 	copy(recs, t.spans)
 	t.mu.Unlock()
 
-	// Collect children per parent in creation order, then sort siblings
-	// by (worker, creation order): creation order is deterministic for
-	// spans opened from a single goroutine, and the per-worker merge
-	// spans — the only concurrently created ones — are disambiguated by
-	// their distinct worker indices.
+	// Collect children per parent in creation order, which is
+	// deterministic because each stage opens its spans from one
+	// goroutine.
 	roots := make([]int, 0, 4)
 	children := make([][]int, len(recs))
 	for i := range recs {
@@ -66,19 +63,6 @@ func (t *Tracer) Snapshot() *Trace {
 		} else {
 			roots = append(roots, i)
 		}
-	}
-	orderSiblings := func(list []int) {
-		sort.SliceStable(list, func(a, b int) bool {
-			ra, rb := &recs[list[a]], &recs[list[b]]
-			if ra.worker != rb.worker {
-				return ra.worker < rb.worker
-			}
-			return list[a] < list[b]
-		})
-	}
-	orderSiblings(roots)
-	for i := range children {
-		orderSiblings(children[i])
 	}
 
 	out := &Trace{
@@ -93,7 +77,6 @@ func (t *Tracer) Snapshot() *Trace {
 			ID:      len(out.Spans),
 			Parent:  parent,
 			Stage:   r.stage,
-			Worker:  int(r.worker),
 			StartNS: r.start.Nanoseconds(),
 			DurNS:   -1,
 		}
@@ -203,9 +186,6 @@ func (t *Trace) WriteTree(w io.Writer) {
 			b.WriteString("  ")
 		}
 		b.WriteString(s.Stage)
-		if s.Worker >= 0 {
-			fmt.Fprintf(&b, "[w%d]", s.Worker)
-		}
 		if s.DurNS >= 0 {
 			fmt.Fprintf(&b, " %s", time.Duration(s.DurNS).Round(time.Microsecond))
 		} else {

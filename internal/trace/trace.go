@@ -6,10 +6,9 @@
 // stage constant from the faultinject registry ("pta.solve",
 // "fpg.build", "core.build", …; mahjongvet's stagehook analyzer rejects
 // any other name) — and records monotonic start/end times, its parent
-// span, an optional worker attribution for the heap modeler's parallel
-// merge workers, a failure tag when the stage did not complete, and
-// per-span counter deltas (propagated facts, merge pairs, …). The
-// counters double as a machine-checkable oracle: the
+// span, a failure tag when the stage did not complete, and per-span
+// counter deltas (propagated facts, merge pairs, …). The counters
+// double as a machine-checkable oracle: the
 // span-accounting tests cross-check them against pta.Stats and the
 // /metrics totals, so a stage that stops reporting its work breaks a
 // test instead of a dashboard.
@@ -17,14 +16,14 @@
 // Tracing is opt-in and nil-safe throughout: the zero Ctx and the zero
 // Span no-op on every method, so untraced runs pay one nil check per
 // stage boundary and allocate nothing. Traced runs append fixed-size
-// records to one slice under a mutex (the only synchronization, shared
-// with the parallel merge workers).
+// records to one slice under a mutex, so spans may be opened from
+// several goroutines.
 //
 // Snapshot converts the records into an exportable Trace with a
-// deterministic collect-sort-emit pass: siblings are ordered by
-// (worker, creation order), IDs are renumbered in pre-order, and
-// counters are sorted by name, so two runs of the same program differ
-// only in their timestamps (which Scrub normalizes for golden tests).
+// deterministic collect-emit pass: siblings keep their creation order,
+// IDs are renumbered in pre-order, and counters are sorted by name, so
+// two runs of the same program differ only in their timestamps (which
+// Scrub normalizes for golden tests).
 package trace
 
 import (
@@ -84,7 +83,6 @@ type counter struct {
 type spanRec struct {
 	stage    string
 	parent   int32
-	worker   int32 // -1 unless attributed to a merge worker
 	start    time.Duration
 	end      time.Duration
 	fail     string
@@ -136,7 +134,6 @@ func (c Ctx) Start(stage string) Span {
 	t.spans = append(t.spans, spanRec{
 		stage:  stage,
 		parent: c.parent,
-		worker: -1,
 		start:  time.Since(t.base),
 		end:    -1,
 	})
@@ -159,17 +156,6 @@ func (s Span) Ctx() Ctx {
 		return Ctx{}
 	}
 	return Ctx{tr: s.tr, parent: s.id}
-}
-
-// Worker attributes the span to merge worker i (spans are unattributed
-// by default).
-func (s Span) Worker(i int) {
-	if s.tr == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.tr.spans[s.id].worker = int32(i)
-	s.tr.mu.Unlock()
 }
 
 // Add accumulates a named counter delta on the span.

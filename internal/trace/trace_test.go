@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"mahjong/internal/budget"
@@ -20,7 +19,6 @@ func TestZeroValuesNoOp(t *testing.T) {
 	}
 	sp := c.Start("pta.solve")
 	sp.Add("work", 1)
-	sp.Worker(3)
 	sp.End()
 	sp.Close(errors.New("x"))
 	sp.CloseAborted()
@@ -109,45 +107,11 @@ func TestOpenSpanRejected(t *testing.T) {
 
 func TestWellFormedRejectsOutlivingChild(t *testing.T) {
 	snap := &Trace{Version: 1, Spans: []SpanInfo{
-		{ID: 0, Parent: -1, Stage: "server.job", Worker: -1, StartNS: 0, DurNS: 100},
-		{ID: 1, Parent: 0, Stage: "pta.solve", Worker: -1, StartNS: 50, DurNS: 100},
+		{ID: 0, Parent: -1, Stage: "server.job", StartNS: 0, DurNS: 100},
+		{ID: 1, Parent: 0, Stage: "pta.solve", StartNS: 50, DurNS: 100},
 	}}
 	if err := snap.WellFormed(); err == nil || !strings.Contains(err.Error(), "outlives") {
 		t.Fatalf("WellFormed = %v, want outlives error", err)
-	}
-}
-
-func TestWorkerSpanOrderDeterministic(t *testing.T) {
-	// Worker spans are created concurrently (racy creation order) but
-	// must export in worker order.
-	for round := 0; round < 10; round++ {
-		tr := New()
-		root := tr.Root().Start("core.build")
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sp := root.Ctx().Start("automata.equiv")
-				sp.Worker(w)
-				sp.Add("merge_pairs", int64(w))
-				sp.End()
-			}(w)
-		}
-		wg.Wait()
-		root.End()
-		snap := tr.Snapshot()
-		if err := snap.WellFormed(); err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range snap.Spans[1:] {
-			if s.Worker != i {
-				t.Fatalf("round %d: span %d has worker %d, want %d", round, i+1, s.Worker, i)
-			}
-			if v, _ := s.Counter("merge_pairs"); v != int64(i) {
-				t.Fatalf("round %d: worker %d carries pairs=%d", round, i, v)
-			}
-		}
 	}
 }
 

@@ -6,20 +6,12 @@
 // constant (inverse Ackermann), which §5 of the paper relies on.
 package unionfind
 
-import "sync/atomic"
-
 // Forest is a disjoint-set forest over the integers [0, n), created by
 // New.
-//
-// Concurrency: the heap modeler's merge workers call Union from
-// multiple goroutines on provably disjoint trees (merging never crosses
-// type groups), which keeps the parent/rank element writes race-free by
-// partition. The set counter is the one piece of state those disjoint
-// unions share, so it alone is atomic.
 type Forest struct {
 	parent []int32
 	rank   []int8
-	sets   atomic.Int64
+	sets   int
 }
 
 // New returns a forest of n singleton sets {0}, {1}, …, {n-1}.
@@ -27,8 +19,8 @@ func New(n int) *Forest {
 	f := &Forest{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
+		sets:   n,
 	}
-	f.sets.Store(int64(n))
 	for i := range f.parent {
 		f.parent[i] = int32(i)
 	}
@@ -36,7 +28,7 @@ func New(n int) *Forest {
 }
 
 // Sets returns the current number of disjoint sets.
-func (f *Forest) Sets() int { return int(f.sets.Load()) }
+func (f *Forest) Sets() int { return f.sets }
 
 // Find returns the representative of the set containing x,
 // compressing the path from x to the root.
@@ -65,7 +57,7 @@ func (f *Forest) Union(x, y int) bool {
 	if f.rank[rx] == f.rank[ry] {
 		f.rank[rx]++
 	}
-	f.sets.Add(-1)
+	f.sets--
 	return true
 }
 
@@ -75,7 +67,7 @@ func (f *Forest) Same(x, y int) bool { return f.Find(x) == f.Find(y) }
 // Classes returns the members of every set with at least one element,
 // keyed by representative. Members appear in ascending order.
 func (f *Forest) Classes() map[int][]int {
-	out := make(map[int][]int, f.sets.Load())
+	out := make(map[int][]int, f.sets)
 	for x := range f.parent {
 		r := f.Find(x)
 		out[r] = append(out[r], x)

@@ -31,7 +31,6 @@ import (
 	"os"
 	"time"
 
-	"mahjong/internal/bench"
 	"mahjong/internal/budget"
 	"mahjong/internal/clients"
 	"mahjong/internal/core"
@@ -91,18 +90,13 @@ const (
 	HeapMahjong HeapKind = "mahjong"
 )
 
-// AbstractionOptions tunes the heap modeler (they mirror the §5
-// optimizations and the representative-selection discussion of §3.6.2).
+// AbstractionOptions tunes the pipeline that builds the heap
+// abstraction (representative selection follows §3.6.2).
 type AbstractionOptions struct {
-	// Workers bounds parallel per-type merging; 0 = GOMAXPROCS.
-	Workers int
 	// TypeDiverseReps elects representatives that maximize type-context
 	// diversity for M-ktype (Example 3.2) instead of the paper's
 	// arbitrary choice.
 	TypeDiverseReps bool
-	// DisableSharedAutomata turns off the hash-consed automata store
-	// (ablation; results are identical, construction is slower).
-	DisableSharedAutomata bool
 	// OmitNullNode drops the dummy null object from the field points-to
 	// graph (ablation of the null-field handling, Example 3.1).
 	OmitNullNode bool
@@ -113,8 +107,8 @@ type AbstractionOptions struct {
 	// ErrBudgetExhausted. Zero value = unlimited.
 	Resources ResourceBudget
 	// Trace, when enabled, records one span per pipeline stage
-	// ("pta.solve", "fpg.build", "core.build" with per-worker
-	// "automata.equiv" children) on the tracer behind the Ctx. Obtain one
+	// ("pta.solve", "fpg.build", "core.build" with one "automata.equiv"
+	// child for the merge loop) on the tracer behind the Ctx. Obtain one
 	// from TraceCtx; the zero value disables tracing. See
 	// docs/OBSERVABILITY.md.
 	Trace TraceCtx
@@ -228,9 +222,10 @@ func BuildAbstraction(p *Program, opts AbstractionOptions) (*Abstraction, error)
 }
 
 // BuildAbstractionContext is BuildAbstraction with cancellation: every
-// pipeline stage (pre-analysis solver, parallel merge workers) checks
-// ctx, and a cancelled or timed-out context aborts with an error
-// wrapping context.Canceled or context.DeadlineExceeded.
+// pipeline stage (the pre-analysis solver's worklist, the heap
+// modeler's merge loop) checks ctx, and a cancelled or timed-out
+// context aborts with an error wrapping context.Canceled or
+// context.DeadlineExceeded.
 func BuildAbstractionContext(ctx context.Context, p *Program, opts AbstractionOptions) (*Abstraction, error) {
 	abs, _, _, err := buildPipeline(ctx, p, opts, nil, nil, nil, false)
 	return abs, err
@@ -395,7 +390,3 @@ func selectorFor(name string) (pta.Selector, error) {
 		return nil, fmt.Errorf("mahjong: unknown analysis %q", name)
 	}
 }
-
-// NewSuite returns the full experiment suite used by cmd/experiments
-// and the root benchmarks.
-func NewSuite() *bench.Suite { return bench.NewSuite() }
