@@ -38,7 +38,7 @@ func main() {
 	heap := flag.String("heap", "mahjong", "heap abstraction: alloc-site, alloc-type, mahjong")
 	budget := flag.Int64("budget", 0, "work budget (0 = unlimited)")
 	budgetFacts := flag.Int64("budget-facts", 0, "resource budget: propagated points-to facts (0 = unlimited)")
-	budgetWords := flag.Int64("budget-words", 0, "resource budget: cumulative points-to words grown by the job's solves (0 = unlimited)")
+	budgetWords := flag.Int64("budget-words", 0, "resource budget: cumulative points-to words grown by the job's solves, counting each set's window from its lowest to its highest set word (0 = unlimited)")
 	budgetPairs := flag.Int64("budget-pairs", 0, "resource budget: automata merge pairs (0 = unlimited)")
 	degrade := flag.Bool("degrade", false, "fall back to -heap=alloc-site when building the Mahjong abstraction fails or exhausts its resource budget")
 	verbose := flag.Bool("v", false, "print per-class merge details")

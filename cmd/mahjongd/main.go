@@ -65,7 +65,7 @@ func main() {
 	shutdownGrace := flag.Duration("shutdown-grace", 5*time.Second, "how long shutdown waits for in-flight jobs before cancelling them (negative = forever)")
 	maxProgram := flag.Int64("max-program-bytes", 8<<20, "max POST /jobs body size in bytes")
 	budgetFacts := flag.Int64("budget-facts", 0, "default per-job cap on propagated points-to facts (0 = unlimited)")
-	budgetWords := flag.Int64("budget-words", 0, "default per-job cap on cumulative points-to words grown by the job's solves (0 = unlimited)")
+	budgetWords := flag.Int64("budget-words", 0, "default per-job cap on cumulative points-to words grown by the job's solves, counting each set's window from its lowest to its highest set word (0 = unlimited)")
 	budgetPairs := flag.Int64("budget-pairs", 0, "default per-job cap on automata merge pairs (0 = unlimited)")
 	noDegrade := flag.Bool("no-degrade", false, "disable the allocation-site fallback when abstraction building fails")
 	slowJob := flag.Duration("slow-job", 0, "log the span tree of any job taking at least this long (0 = off)")

@@ -44,6 +44,8 @@ type State struct {
 	// allSingle is set once every state reachable from this one is
 	// known to be single-typed (SINGLETYPE-CHECK memo across objects).
 	allSingle bool
+	// claimed is set once a ClaimStates walk has counted this state.
+	claimed bool
 	// mark is the epoch of the last traversal that reached this state.
 	mark uint32
 }
@@ -299,6 +301,23 @@ func (u *Universe) StateCount(s *State) int {
 	n := 0
 	u.walk(s, func(*State) { n++ })
 	return n
+}
+
+// ClaimStates returns the number of distinct states reachable from s
+// (its DFA size, as StateCount) and how many of them no earlier
+// ClaimStates call reached. Over a set of objects, the sizes sum to
+// the states their DFAs would hold without sharing, and the fresh
+// counts sum to the distinct states they share, so the second sum never
+// exceeds the first. s must be fully expanded.
+func (u *Universe) ClaimStates(s *State) (size, fresh int) {
+	u.walk(s, func(t *State) {
+		size++
+		if !t.claimed {
+			t.claimed = true
+			fresh++
+		}
+	})
+	return size, fresh
 }
 
 // walk visits every state reachable from root depth-first, calling

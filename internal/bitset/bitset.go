@@ -3,13 +3,17 @@
 //
 // The hot loop of a subset-based points-to analysis is repeated
 // union-with-difference: propagate the part of a source set that the
-// destination has not seen yet. Set is tuned for that pattern: it stores
-// 64-bit words indexed from bit 0 and offers UnionDiff, which unions src
-// into dst and simultaneously collects the newly added bits.
+// destination has not seen yet. Set is tuned for that pattern. It
+// stores only the window of 64-bit words from its lowest to its highest
+// non-zero word, so a set of nearby IDs costs a few words wherever the
+// IDs lie, and UnionInto unions src into dst while collecting the newly
+// added bits in a caller-owned delta set.
 package bitset
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,9 +21,15 @@ import (
 const wordBits = 64
 
 // Set is a growable bit set. The zero value is an empty set ready to use.
+//
+// The set keeps the words from its lowest to its highest non-zero word:
+// words[i] holds bits (off+i)*64 to (off+i)*64+63. A non-empty set's
+// first and last words are non-zero, and an empty set has no words, so
+// every operation works over the overlap of its operands' windows.
 type Set struct {
 	words []uint64
-	count int // cached population count
+	off   int32 // word index of words[0]
+	count int32 // cached population count
 }
 
 // New returns an empty set with capacity hint n bits.
@@ -31,10 +41,12 @@ func New(n int) *Set {
 }
 
 // Len returns the number of bits set.
-func (s *Set) Len() int { return s.count }
+func (s *Set) Len() int { return int(s.count) }
 
-// Words returns the number of 64-bit words backing the set — the
+// Words returns the number of 64-bit words in the set's window — the
 // quantity resource budgets meter, as growth, to bound points-to memory.
+// The window never reaches below the lowest set word, so it is at most
+// the number of words a set stored from bit 0 would hold.
 func (s *Set) Words() int { return len(s.words) }
 
 // IsEmpty reports whether no bits are set.
@@ -45,65 +57,113 @@ func (s *Set) Contains(i int) bool {
 	if i < 0 {
 		return false
 	}
-	w := i / wordBits
-	if w >= len(s.words) {
+	w := i/wordBits - int(s.off)
+	if w < 0 || w >= len(s.words) {
 		return false
 	}
 	return s.words[w]&(1<<(uint(i)%wordBits)) != 0
 }
 
-func (s *Set) grow(w int) {
-	for len(s.words) <= w {
-		s.words = append(s.words, 0)
+// end returns the word index one past the window.
+func (s *Set) end() int { return int(s.off) + len(s.words) }
+
+// span returns the word range [lo, hi) of s's non-zero words. For a set
+// built by this package's operations it is the whole window.
+func (s *Set) span() (lo, hi int) {
+	i, j := 0, len(s.words)
+	for i < j && s.words[i] == 0 {
+		i++
+	}
+	for j > i && s.words[j-1] == 0 {
+		j--
+	}
+	return int(s.off) + i, int(s.off) + j
+}
+
+// cover widens the window to include words [lo, hi), lo < hi; new words
+// are zero. An empty set takes [lo, hi) as its window, reusing its
+// capacity.
+func (s *Set) cover(lo, hi int) {
+	n := len(s.words)
+	if n == 0 {
+		s.off = int32(lo)
+		s.words = appendZeros(s.words[:0], hi-lo)
+		return
+	}
+	if end := s.end(); hi > end {
+		s.words = appendZeros(s.words, hi-end)
+	}
+	if k := int(s.off) - lo; k > 0 {
+		s.prepend(k)
 	}
 }
 
-// Add sets bit i and reports whether the set changed.
+// appendZeros appends k zero words to w.
+func appendZeros(w []uint64, k int) []uint64 {
+	n := len(w)
+	w = slices.Grow(w, k)[:n+k]
+	clear(w[n:])
+	return w
+}
+
+// prepend widens the window downward by k zero words.
+func (s *Set) prepend(k int) {
+	n := len(s.words)
+	if n+k <= cap(s.words) {
+		s.words = s.words[:n+k]
+		copy(s.words[k:], s.words[:n])
+		clear(s.words[:k])
+	} else {
+		w := make([]uint64, n+k, max(n+k, 2*cap(s.words)))
+		copy(w[k:], s.words)
+		s.words = w
+	}
+	s.off -= int32(k)
+}
+
+// Add sets bit i and reports whether the set changed. Bits must lie in
+// [0, math.MaxInt32).
 func (s *Set) Add(i int) bool {
-	if i < 0 {
-		panic("bitset: negative bit " + strconv.Itoa(i))
+	if i < 0 || i >= math.MaxInt32 {
+		panic("bitset: bit out of range: " + strconv.Itoa(i))
 	}
 	w, b := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	s.grow(w)
-	if s.words[w]&b != 0 {
+	j := w - int(s.off)
+	if j < 0 || j >= len(s.words) { // inline, not a helper: Add is on the solver's hot path
+		s.cover(w, w+1)
+		j = w - int(s.off)
+	}
+	if s.words[j]&b != 0 {
 		return false
 	}
-	s.words[w] |= b
+	s.words[j] |= b
 	s.count++
 	return true
 }
 
-// Remove clears bit i and reports whether the set changed.
-func (s *Set) Remove(i int) bool {
-	if i < 0 {
-		return false
+// orWord ors b into word w, widening the window as needed.
+func (s *Set) orWord(w int, b uint64) {
+	j := w - int(s.off)
+	if j < 0 || j >= len(s.words) {
+		s.cover(w, w+1)
+		j = w - int(s.off)
 	}
-	w := i / wordBits
-	if w >= len(s.words) {
-		return false
-	}
-	b := uint64(1) << (uint(i) % wordBits)
-	if s.words[w]&b == 0 {
-		return false
-	}
-	s.words[w] &^= b
-	s.count--
-	return true
+	old := s.words[j]
+	s.words[j] = old | b
+	s.count += int32(bits.OnesCount64(old|b) - bits.OnesCount64(old))
 }
 
-// Clear removes all bits, keeping capacity.
+// Clear removes all bits. It resets the window and keeps the capacity,
+// so a pooled set refills at any offset without allocating.
 func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	s.words = s.words[:0]
+	s.off = 0
 	s.count = 0
 }
 
 // Clone returns a copy of s.
 func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), count: s.count}
-	copy(c.words, s.words)
-	return c
+	return &Set{words: slices.Clone(s.words), off: s.off, count: s.count}
 }
 
 // Union adds every bit of other into s and reports whether s changed.
@@ -111,119 +171,76 @@ func (s *Set) Union(other *Set) bool {
 	if other == nil || other.count == 0 {
 		return false
 	}
-	s.grow(len(other.words) - 1)
+	lo, hi := other.span()
+	s.cover(lo, hi)
+	dst := s.words[lo-int(s.off) : hi-int(s.off)]
 	changed := false
-	for i, w := range other.words {
-		old := s.words[i]
-		nw := old | w
-		if nw != old {
-			s.words[i] = nw
-			s.count += bits.OnesCount64(nw) - bits.OnesCount64(old)
+	for i, w := range other.words[lo-int(other.off) : hi-int(other.off)] {
+		old := dst[i]
+		if nw := old | w; nw != old {
+			dst[i] = nw
+			s.count += int32(bits.OnesCount64(nw) - bits.OnesCount64(old))
 			changed = true
 		}
 	}
 	return changed
 }
 
-// UnionDiff unions src into s and returns a set holding exactly the bits
-// that were newly added to s (src − old s). It returns nil when nothing
-// was added, so callers can cheaply skip propagation.
-func (s *Set) UnionDiff(src *Set) *Set {
-	if src == nil || src.count == 0 {
-		return nil
-	}
-	s.grow(len(src.words) - 1)
-	var diff *Set
-	for i, w := range src.words {
-		old := s.words[i]
-		add := w &^ old
-		if add == 0 {
-			continue
-		}
-		if diff == nil {
-			diff = &Set{words: make([]uint64, len(src.words))}
-		}
-		diff.words[i] = add
-		diff.count += bits.OnesCount64(add)
-		s.words[i] = old | add
-		s.count += bits.OnesCount64(add)
-	}
-	return diff
-}
-
-// UnionInto unions src into s like UnionDiff, but instead of allocating
-// a fresh difference set it adds the newly inserted bits to diff (which
-// must be non-nil) and returns how many bits were added. It is the
-// allocation-free propagation primitive of the points-to solver: the
-// destination's pending delta doubles as the diff accumulator.
+// UnionInto unions src into s, adds the newly inserted bits to diff
+// (which must be non-nil and must not alias s or src) and returns how
+// many bits were added. It is the allocation-free propagation primitive
+// of the points-to solver: the destination's pending delta doubles as
+// the diff accumulator. Only src's non-zero words are visited.
 func (s *Set) UnionInto(src, diff *Set) int {
 	if src == nil || src.count == 0 {
 		return 0
 	}
-	s.grow(len(src.words) - 1)
+	lo, hi := src.span()
+	s.cover(lo, hi)
+	dst := s.words[lo-int(s.off) : hi-int(s.off)]
 	added := 0
-	for i, w := range src.words {
-		add := w &^ s.words[i]
+	for i, w := range src.words[lo-int(src.off) : hi-int(src.off)] {
+		add := w &^ dst[i]
 		if add == 0 {
 			continue
 		}
-		s.words[i] |= add
-		diff.grow(i)
-		old := diff.words[i]
-		diff.words[i] = old | add
-		diff.count += bits.OnesCount64(old|add) - bits.OnesCount64(old)
+		dst[i] |= add
+		diff.orWord(lo+i, add)
 		added += bits.OnesCount64(add)
 	}
-	s.count += added
+	s.count += int32(added)
 	return added
-}
-
-// AndWith intersects s with other in place (s &= other) and reports
-// whether s changed. A nil other clears s.
-func (s *Set) AndWith(other *Set) bool {
-	if s.count == 0 {
-		return false
-	}
-	if other == nil {
-		s.Clear()
-		return true
-	}
-	changed := false
-	for i, w := range s.words {
-		var ow uint64
-		if i < len(other.words) {
-			ow = other.words[i]
-		}
-		nw := w & ow
-		if nw != w {
-			s.words[i] = nw
-			s.count -= bits.OnesCount64(w) - bits.OnesCount64(nw)
-			changed = true
-		}
-	}
-	return changed
 }
 
 // IntersectInto sets dst = a ∩ b, reusing dst's backing storage, and
 // returns dst. A nil dst allocates a fresh set. dst must not alias a or
-// b. The word loop replaces the per-bit membership tests the solver's
-// cast/catch filtering would otherwise perform.
+// b. The word loop over the operands' overlap replaces the per-bit
+// membership tests the solver's cast/catch filtering would otherwise
+// perform.
 func IntersectInto(dst, a, b *Set) *Set {
 	if dst == nil {
 		dst = &Set{}
 	}
-	n := min(len(a.words), len(b.words))
-	dst.grow(n - 1)
-	count := 0
-	for i := 0; i < n; i++ {
-		w := a.words[i] & b.words[i]
-		dst.words[i] = w
-		count += bits.OnesCount64(w)
+	lo, hi := max(int(a.off), int(b.off)), min(a.end(), b.end())
+	out := dst.words[:0]
+	start, last, count := 0, 0, 0
+	for i := lo; i < hi; i++ {
+		w := a.words[i-int(a.off)] & b.words[i-int(b.off)]
+		if len(out) == 0 {
+			if w == 0 {
+				continue // leading zero words stay outside the window
+			}
+			start = i
+		}
+		out = append(out, w)
+		if w != 0 {
+			last = len(out)
+			count += bits.OnesCount64(w)
+		}
 	}
-	for i := n; i < len(dst.words); i++ {
-		dst.words[i] = 0
-	}
-	dst.count = count
+	dst.words = out[:last]
+	dst.off = int32(start)
+	dst.count = int32(count)
 	return dst
 }
 
@@ -232,30 +249,20 @@ func (s *Set) Intersects(other *Set) bool {
 	if other == nil {
 		return false
 	}
-	n := min(len(s.words), len(other.words))
-	for i := 0; i < n; i++ {
-		if s.words[i]&other.words[i] != 0 {
+	for i, hi := max(int(s.off), int(other.off)), min(s.end(), other.end()); i < hi; i++ {
+		if s.words[i-int(s.off)]&other.words[i-int(other.off)] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// ContainsAll reports whether every bit of other is also in s.
-func (s *Set) ContainsAll(other *Set) bool {
-	if other == nil {
-		return true
+// word returns word i of s, zero outside the window.
+func (s *Set) word(i int) uint64 {
+	if j := i - int(s.off); j >= 0 && j < len(s.words) {
+		return s.words[j]
 	}
-	for i, w := range other.words {
-		var sw uint64
-		if i < len(s.words) {
-			sw = s.words[i]
-		}
-		if w&^sw != 0 {
-			return false
-		}
-	}
-	return true
+	return 0
 }
 
 // Equal reports whether s and other contain exactly the same bits.
@@ -266,16 +273,8 @@ func (s *Set) Equal(other *Set) bool {
 	if s.count != other.count {
 		return false
 	}
-	n := max(len(s.words), len(other.words))
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
-		}
-		if i < len(other.words) {
-			b = other.words[i]
-		}
-		if a != b {
+	for i, hi := min(int(s.off), int(other.off)), max(s.end(), other.end()); i < hi; i++ {
+		if s.word(i) != other.word(i) {
 			return false
 		}
 	}
@@ -285,10 +284,11 @@ func (s *Set) Equal(other *Set) bool {
 // ForEach calls fn for each set bit in ascending order. If fn returns
 // false iteration stops early.
 func (s *Set) ForEach(fn func(i int) bool) {
+	base := int(s.off) * wordBits
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
+			if !fn(base + wi*wordBits + b) {
 				return
 			}
 			w &^= 1 << uint(b)
@@ -304,16 +304,6 @@ func (s *Set) Slice() []int {
 		return true
 	})
 	return out
-}
-
-// Min returns the smallest set bit, or -1 when empty.
-func (s *Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // String renders the set like "{1 5 9}".

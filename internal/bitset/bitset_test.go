@@ -23,22 +23,6 @@ func TestZeroValue(t *testing.T) {
 	}
 }
 
-func TestAddRemove(t *testing.T) {
-	s := New(10)
-	if s.Add(3) != true || s.Add(3) != false {
-		t.Fatal("Add change reporting wrong")
-	}
-	if s.Remove(3) != true || s.Remove(3) != false {
-		t.Fatal("Remove change reporting wrong")
-	}
-	if s.Remove(1000) {
-		t.Fatal("Remove of absent out-of-range bit reported change")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("len=%d after add/remove", s.Len())
-	}
-}
-
 func TestAddNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -56,62 +40,49 @@ func TestContainsNegative(t *testing.T) {
 	}
 }
 
-func TestUnionDiff(t *testing.T) {
-	a, b := New(0), New(0)
-	for _, i := range []int{1, 64, 65, 200} {
-		a.Add(i)
-	}
-	for _, i := range []int{1, 2, 64, 300} {
-		b.Add(i)
-	}
-	diff := a.UnionDiff(b)
-	if diff == nil {
-		t.Fatal("expected non-nil diff")
-	}
-	want := []int{2, 300}
-	if got := diff.Slice(); !equalInts(got, want) {
-		t.Fatalf("diff=%v want %v", got, want)
-	}
-	for _, i := range []int{1, 2, 64, 65, 200, 300} {
-		if !a.Contains(i) {
-			t.Fatalf("a missing %d after UnionDiff", i)
-		}
-	}
-	if d := a.UnionDiff(b); d != nil {
-		t.Fatalf("second UnionDiff should be nil, got %v", d)
-	}
-	if d := a.UnionDiff(nil); d != nil {
-		t.Fatal("UnionDiff(nil) should be nil")
-	}
+// containsAll is the subset test by single-bit membership.
+func containsAll(s, other *Set) bool {
+	all := true
+	other.ForEach(func(i int) bool {
+		all = s.Contains(i)
+		return all
+	})
+	return all
 }
 
 func TestEqualAndContainsAll(t *testing.T) {
 	a, b := New(0), New(0)
 	for _, i := range []int{0, 63, 64, 127, 500} {
 		a.Add(i)
+	}
+	// b grows downward, so its window is rebuilt by prepends.
+	for _, i := range []int{500, 127, 64, 63, 0} {
 		b.Add(i)
 	}
-	if !a.Equal(b) {
+	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("equal sets reported unequal")
 	}
-	// Trailing zero words must not break equality.
-	b.Add(1000)
-	b.Remove(1000)
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Fatal("equality broken by trailing zero words")
+	// An intersection's window is trimmed to its non-zero words.
+	c := IntersectInto(nil, a, setOf(0, 63, 64, 127, 500, 5000))
+	if !a.Equal(c) || !c.Equal(a) {
+		t.Fatalf("equality broken by window bounds: %v vs %v", a, c)
 	}
-	b.Remove(500)
-	if a.Equal(b) {
+	b = setOf(0, 63, 64, 127)
+	if a.Equal(b) || b.Equal(a) {
 		t.Fatal("unequal sets reported equal")
 	}
-	if !a.ContainsAll(b) {
+	if a.Equal(setOf(1, 63, 64, 127, 500)) {
+		t.Fatal("same-count sets with different bits reported equal")
+	}
+	if !containsAll(a, b) {
 		t.Fatal("a should contain all of b")
 	}
-	if b.ContainsAll(a) {
+	if containsAll(b, a) {
 		t.Fatal("b should not contain all of a")
 	}
-	if !a.ContainsAll(nil) {
-		t.Fatal("ContainsAll(nil) should be true")
+	var empty Set
+	if !empty.Equal(nil) || a.Equal(nil) || !empty.Equal(New(64)) {
+		t.Fatal("empty-set equality wrong")
 	}
 }
 
@@ -129,25 +100,29 @@ func TestIntersects(t *testing.T) {
 	if a.Intersects(nil) {
 		t.Fatal("Intersects(nil) true")
 	}
+	// Disjoint windows, in both argument orders.
+	lo, hi := setOf(3, 70), setOf(40000, 50000)
+	if lo.Intersects(hi) || hi.Intersects(lo) {
+		t.Fatal("disjoint windows intersect")
+	}
 }
 
-func TestCloneClearMin(t *testing.T) {
+func TestCloneClear(t *testing.T) {
 	a := New(0)
-	if a.Min() != -1 {
-		t.Fatal("Min of empty != -1")
-	}
 	a.Add(70)
 	a.Add(7)
 	c := a.Clone()
 	a.Clear()
-	if a.Len() != 0 || !a.IsEmpty() {
-		t.Fatal("Clear failed")
+	if a.Len() != 0 || !a.IsEmpty() || a.Words() != 0 {
+		t.Fatalf("Clear failed: len=%d words=%d", a.Len(), a.Words())
 	}
 	if c.Len() != 2 || !c.Contains(7) || !c.Contains(70) {
 		t.Fatal("Clone affected by Clear")
 	}
-	if c.Min() != 7 {
-		t.Fatalf("Min=%d want 7", c.Min())
+	// A cleared set refills at an unrelated offset.
+	a.Add(90000)
+	if a.Len() != 1 || !a.Contains(90000) || a.Contains(70) || a.Words() != 1 {
+		t.Fatalf("reuse after Clear: %v words=%d", a, a.Words())
 	}
 }
 
@@ -211,27 +186,23 @@ func TestQuickAgainstReference(t *testing.T) {
 		ref := refSet{}
 		for op := 0; op < 300; op++ {
 			i := rng.Intn(400)
-			switch rng.Intn(3) {
+			switch rng.Intn(8) {
 			case 0:
+				s.Clear()
+				ref = refSet{}
+			case 1, 2, 3, 4:
 				got := s.Add(i)
 				want := !ref[i]
 				ref[i] = true
 				if got != want {
 					return false
 				}
-			case 1:
-				got := s.Remove(i)
-				want := ref[i]
-				delete(ref, i)
-				if got != want {
-					return false
-				}
-			case 2:
+			default:
 				if s.Contains(i) != ref[i] {
 					return false
 				}
 			}
-			if s.Len() != len(ref) {
+			if s.Len() != len(ref) || checkWindow(s) != nil {
 				return false
 			}
 		}
@@ -242,7 +213,8 @@ func TestQuickAgainstReference(t *testing.T) {
 	}
 }
 
-// TestQuickUnionDiff checks UnionDiff against the set-theoretic definition.
+// TestQuickUnionDiff checks UnionInto's difference against the
+// set-theoretic definition.
 func TestQuickUnionDiff(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -258,7 +230,8 @@ func TestQuickUnionDiff(t *testing.T) {
 				refB[x] = true
 			}
 		}
-		diff := a.UnionDiff(b)
+		diff := New(0)
+		added := a.UnionInto(b, diff)
 		wantDiff := refSet{}
 		for x := range refB {
 			if !refA[x] {
@@ -266,11 +239,8 @@ func TestQuickUnionDiff(t *testing.T) {
 			}
 			refA[x] = true
 		}
-		var gotDiff []int
-		if diff != nil {
-			gotDiff = diff.Slice()
-		}
-		return equalInts(gotDiff, wantDiff.slice()) && equalInts(a.Slice(), refA.slice())
+		return added == len(wantDiff) && equalInts(diff.Slice(), wantDiff.slice()) &&
+			equalInts(a.Slice(), refA.slice())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -298,22 +268,24 @@ func TestQuickUnionLaws(t *testing.T) {
 		if again.Union(b1) { // idempotent: second union adds nothing
 			return false
 		}
-		return ab.ContainsAll(a1) && ab.ContainsAll(b1)
+		return containsAll(ab, a1) && containsAll(ab, b1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkUnionDiff(b *testing.B) {
+func BenchmarkUnionInto(b *testing.B) {
 	src := New(0)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		src.Add(rng.Intn(1 << 16))
 	}
+	var dst, diff Set
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst := New(1 << 16)
-		dst.UnionDiff(src)
+		dst.Clear()
+		diff.Clear()
+		dst.UnionInto(src, &diff)
 	}
 }

@@ -53,6 +53,22 @@ func TestUnionIntoZeroValues(t *testing.T) {
 	}
 }
 
+// unionDiff is the reference for UnionInto: it adds src's bits to s one
+// at a time and returns the bits that were new, or nil.
+func unionDiff(s, src *Set) *Set {
+	var diff *Set
+	src.ForEach(func(i int) bool {
+		if s.Add(i) {
+			if diff == nil {
+				diff = New(0)
+			}
+			diff.Add(i)
+		}
+		return true
+	})
+	return diff
+}
+
 func TestUnionIntoMatchesUnionDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -66,12 +82,12 @@ func TestUnionIntoMatchesUnionDiff(t *testing.T) {
 				src.Add(b)
 			}
 		}
-		want := a1.UnionDiff(src)
+		want := unionDiff(a1, src)
 		got := New(0)
 		added := a2.UnionInto(src, got)
 		if want == nil {
 			if added != 0 || !got.IsEmpty() {
-				t.Fatalf("trial %d: UnionDiff=nil but UnionInto added %d", trial, added)
+				t.Fatalf("trial %d: reference added nothing but UnionInto added %d", trial, added)
 			}
 		} else if !got.Equal(want) || added != want.Len() {
 			t.Fatalf("trial %d: diff %v vs %v (added=%d)", trial, got, want, added)
@@ -82,29 +98,31 @@ func TestUnionIntoMatchesUnionDiff(t *testing.T) {
 	}
 }
 
-func TestAndWith(t *testing.T) {
-	s := setOf(1, 64, 200, 300)
-	if !s.AndWith(setOf(64, 200, 999)) {
-		t.Fatal("AndWith reported no change")
+// TestUnionIntoCoveredWindowAllocs pins the solver's steady state: a
+// union into a set whose window already covers the source, with a diff
+// whose capacity holds the new bits, allocates nothing.
+func TestUnionIntoCoveredWindowAllocs(t *testing.T) {
+	src := setOf(64010, 64500, 64990)
+	var dst, diff Set
+	dst.Add(64000) // dst's window, words 1000 to 1015, covers src's
+	dst.Add(65000)
+	diff.Add(64000)
+	diff.Add(65000)
+	allocs := testing.AllocsPerRun(100, func() {
+		// Refill both sets to their starting state within their capacity.
+		dst.Clear()
+		diff.Clear()
+		dst.Add(64000)
+		dst.Add(65000)
+		if dst.UnionInto(src, &diff) != 3 {
+			t.Fatal("UnionInto added the wrong number of bits")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UnionInto into a covering window allocated %.1f times per run", allocs)
 	}
-	if !s.Equal(setOf(64, 200)) {
-		t.Fatalf("s=%v", s)
-	}
-	if s.AndWith(setOf(64, 200, 300)) {
-		t.Fatal("superset intersection reported change")
-	}
-	// Other shorter than s: the tail must be cleared.
-	s2 := setOf(3, 500)
-	if !s2.AndWith(setOf(3)) || !s2.Equal(setOf(3)) {
-		t.Fatalf("tail not cleared: %v", s2)
-	}
-	// nil other clears.
-	if !s2.AndWith(nil) || !s2.IsEmpty() {
-		t.Fatalf("AndWith(nil) left %v", s2)
-	}
-	var zero Set
-	if zero.AndWith(setOf(1)) {
-		t.Fatal("zero-value AndWith reported change")
+	if !diff.Equal(src) || dst.Len() != 5 {
+		t.Fatalf("diff=%v dst=%v", &diff, &dst)
 	}
 }
 

@@ -30,9 +30,10 @@ type Limits struct {
 	// by the FPG builder). It bounds total propagation work.
 	Facts int64
 	// BitsetWords caps the cumulative 64-bit points-to words grown by
-	// the job's solves: every word a points-to set grows is charged,
-	// and none is credited back when the set is dropped. It bounds the
-	// dominant term of solver memory.
+	// the job's solves: every word a points-to set's window (its lowest
+	// to its highest set word) grows is charged, and none is credited
+	// back when the set is dropped. It bounds the dominant term of
+	// solver memory.
 	BitsetWords int64
 	// MergePairs caps automata equivalence checks in the heap modeler.
 	// It bounds the quadratic worst case of per-type merging.

@@ -86,8 +86,10 @@ type Result struct {
 	// NumMerged is the number of abstract objects after merging
 	// (the Mahjong abstraction's object count, |H/≡|).
 	NumMerged int
-	// DFAStates is the number of distinct hash-consed DFA states built;
-	// SumDFAStates is what it would have been without sharing.
+	// DFAStates is the number of distinct hash-consed DFA states in the
+	// automata of the objects that pass SINGLETYPE-CHECK; SumDFAStates
+	// is the sum of those objects' DFA sizes, what the states would
+	// number without sharing. DFAStates <= SumDFAStates.
 	DFAStates    int
 	SumDFAStates int
 	// Duration is the wall-clock time of heap modeling (excluding the
@@ -197,13 +199,13 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 		}
 	}
 
-	sumStates, pairs, err := mergeGroups(ctx, sp.Ctx(), u, uf, mergeList, opts.Meter)
+	states, sumStates, pairs, err := mergeGroups(ctx, sp.Ctx(), u, uf, mergeList, opts.Meter)
 	if err != nil {
 		return nil, err
 	}
 
 	res = buildResult(g, uf, opts.Policy)
-	res.DFAStates = u.NumStates()
+	res.DFAStates = states
 	res.SumDFAStates = sumStates
 	res.ReusedGroups = reusedGroups
 	res.RemergedGroups = remergedGroups
@@ -225,9 +227,9 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 // mergeGroups is Algorithm 1's merge loop. Within each type group, an
 // object that passes SINGLETYPE-CHECK is compared against the group's
 // running list of class representatives and joins the first equivalent
-// one, else becomes a representative itself. It returns the summed
-// per-object DFA sizes of the passing objects and the number of
-// equivalence tests run.
+// one, else becomes a representative itself. It returns the number of
+// distinct DFA states of the passing objects, the sum of their DFA
+// sizes, and the number of equivalence tests run.
 //
 // Interning happens only in SingleTypeOK, group by group in list order,
 // so DFA state IDs do not depend on the equivalence checks.
@@ -235,7 +237,7 @@ func BuildContext(ctx context.Context, g *fpg.Graph, opts Options) (res *Result,
 // All checks run under one "automata.equiv" span. A panic, budget
 // exhaustion or cancellation closes it tagged with the error; partial
 // merges stay sound, but the caller discards them.
-func mergeGroups(ctx context.Context, tc trace.Ctx, u *automata.Universe, uf *unionfind.Forest, groups [][]int, meter *budget.Meter) (sumStates int, pairs int64, err error) {
+func mergeGroups(ctx context.Context, tc trace.Ctx, u *automata.Universe, uf *unionfind.Forest, groups [][]int, meter *budget.Meter) (states, sumStates int, pairs int64, err error) {
 	sp := tc.Start(faultinject.StageEquiv)
 	defer func() {
 		sp.Add("merge_pairs", pairs)
@@ -247,17 +249,19 @@ func mergeGroups(ctx context.Context, tc trace.Ctx, u *automata.Universe, uf *un
 		reps = reps[:0]
 		for _, n := range nodes {
 			if err := ctx.Err(); err != nil {
-				return 0, pairs, fmt.Errorf("core: heap modeling interrupted: %w", err)
+				return 0, 0, pairs, fmt.Errorf("core: heap modeling interrupted: %w", err)
 			}
 			if !u.SingleTypeOK(n) {
 				continue
 			}
 			root := u.Root(n)
-			sumStates += u.StateCount(root)
+			size, fresh := u.ClaimStates(root)
+			states += fresh
+			sumStates += size
 			merged := false
 			for _, r := range reps {
 				if err := meter.AddPairs(1); err != nil {
-					return 0, pairs, fmt.Errorf("core: %w", err)
+					return 0, 0, pairs, fmt.Errorf("core: %w", err)
 				}
 				pairs++
 				if u.Equivalent(u.Root(r), root) {
@@ -271,7 +275,7 @@ func mergeGroups(ctx context.Context, tc trace.Ctx, u *automata.Universe, uf *un
 			}
 		}
 	}
-	return sumStates, pairs, nil
+	return states, sumStates, pairs, nil
 }
 
 // buildResult turns the union-find partition into classes and the MOM.

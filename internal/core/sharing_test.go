@@ -26,6 +26,9 @@ import (
 // every pair on checkstyle would build 2.2 million fresh universes.
 func checkSharedMatchesFresh(g *fpg.Graph) error {
 	res := Build(g, Options{})
+	if res.DFAStates > res.SumDFAStates {
+		return fmt.Errorf("%d shared DFA states exceed the %d of unshared automata", res.DFAStates, res.SumDFAStates)
+	}
 	classOf := make([]int, len(g.Objs))
 	for i, c := range res.Classes {
 		for _, m := range c.Members {
