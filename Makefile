@@ -63,9 +63,10 @@ faultmatrix: ## fault-injection matrix + shutdown/degradation tests under the ra
 	$(GO) test -race ./internal/server/ -run 'TestFaultMatrix|TestShutdown|TestDegraded' -v
 	$(GO) test -race ./internal/faultinject/ ./internal/pta/ -run 'TestFire|TestCombinator|TestTimes|TestSetAndClear|TestOnStage|TestMutator|TestSolveContext|TestSolveClean'
 
-fuzz-smoke: ## 10-second fuzz passes over the mahjongd submission endpoint and the points-to bitset
+fuzz-smoke: ## 10-second fuzz passes over the mahjongd submission endpoint, the points-to bitset and the IR parser
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzSubmit -fuzztime=10s
 	$(GO) test ./internal/bitset/ -run '^$$' -fuzz FuzzSetOps -fuzztime=10s
+	$(GO) test ./internal/parser/ -run '^$$' -fuzz FuzzParse -fuzztime=10s
 
 trace-smoke: ## deterministic span traces: golden exports + span accounting over examples/
 	$(GO) test ./internal/integration -run 'TestTraceExportGolden|TestSpanAccounting' -count=1

@@ -2,64 +2,53 @@ package parser
 
 import (
 	"fmt"
-	"sort"
 
 	"mahjong/internal/lang"
 )
 
-// build resolves a fileAST into a lang.Program in four passes:
+// build resolves the first pass's declarations into a lang.Program:
 // classes are created in topological extends-order, then fields and
-// method signatures are declared, then bodies are built, then the entry
-// point is resolved. Declaration order in the source therefore does not
-// matter.
-func build(name string, f *fileAST) (*lang.Program, error) {
-	b := &builder{file: name, prog: lang.NewProgram()}
-	if err := b.declareClasses(f.classes); err != nil {
+// method signatures are declared, then the second pass parses each
+// method body into its method, then the entry point is resolved.
+func (p *parser) build() (*lang.Program, error) {
+	p.prog = lang.NewProgram()
+	if err := p.declareClasses(); err != nil {
 		return nil, err
 	}
-	if err := b.declareMembers(f.classes); err != nil {
+	if err := p.declareMembers(); err != nil {
 		return nil, err
 	}
-	if err := b.buildBodies(f.classes); err != nil {
+	if err := p.buildBodies(); err != nil {
 		return nil, err
 	}
-	entry := b.prog.Class(f.entryClass)
+	entry := p.prog.Class(p.entryClass)
 	if entry == nil {
-		return nil, b.errf(f.entryLine, "entry class %q not declared", f.entryClass)
+		return nil, p.errf(p.entryLine, "entry class %q not declared", p.entryClass)
 	}
-	m := entry.DeclaredMethod(lang.Sig{Name: f.entryName, Arity: f.entryArity})
+	m := entry.DeclaredMethod(lang.Sig{Name: p.entryName, Arity: p.entryArity})
 	if m == nil {
-		return nil, b.errf(f.entryLine, "entry method %s.%s/%d not declared", f.entryClass, f.entryName, f.entryArity)
+		return nil, p.errf(p.entryLine, "entry method %s.%s/%d not declared", p.entryClass, p.entryName, p.entryArity)
 	}
 	if !m.IsStatic {
-		return nil, b.errf(f.entryLine, "entry method %s must be static", m)
+		return nil, p.errf(p.entryLine, "entry method %s must be static", m)
 	}
-	b.prog.SetEntry(m)
-	if err := b.prog.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: validation failed: %w", name, err)
+	p.prog.SetEntry(m)
+	if err := p.prog.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: validation failed: %w", p.name, err)
 	}
-	return b.prog, nil
-}
-
-type builder struct {
-	file string
-	prog *lang.Program
-}
-
-func (b *builder) errf(line int, format string, args ...any) error {
-	return fmt.Errorf("%s:%d: %s", b.file, line, fmt.Sprintf(format, args...))
+	return p.prog, nil
 }
 
 // declareClasses creates all classes in an order compatible with the
 // extends/implements relation.
-func (b *builder) declareClasses(decls []*classDecl) error {
-	byName := make(map[string]*classDecl, len(decls))
-	for _, d := range decls {
+func (p *parser) declareClasses() error {
+	byName := make(map[string]*classDecl, len(p.classes))
+	for _, d := range p.classes {
 		if _, dup := byName[d.name]; dup {
-			return b.errf(d.line, "duplicate class %q", d.name)
+			return p.errf(d.line, "duplicate class %q", d.name)
 		}
 		if d.name == "java.lang.Object" {
-			return b.errf(d.line, "java.lang.Object is built in and cannot be redeclared")
+			return p.errf(d.line, "java.lang.Object is built in and cannot be redeclared")
 		}
 		byName[d.name] = d
 	}
@@ -69,14 +58,14 @@ func (b *builder) declareClasses(decls []*classDecl) error {
 		grey  = 1
 		black = 2
 	)
-	state := make(map[string]int, len(decls))
+	state := make(map[string]int, len(p.classes))
 	var visit func(d *classDecl) error
 	visit = func(d *classDecl) error {
 		switch state[d.name] {
 		case black:
 			return nil
 		case grey:
-			return b.errf(d.line, "inheritance cycle through %q", d.name)
+			return p.errf(d.line, "inheritance cycle through %q", d.name)
 		}
 		state[d.name] = grey
 		deps := d.interfaces
@@ -89,34 +78,34 @@ func (b *builder) declareClasses(decls []*classDecl) error {
 					return err
 				}
 			} else if dep != "java.lang.Object" {
-				return b.errf(d.line, "class %q depends on undeclared %q", d.name, dep)
+				return p.errf(d.line, "class %q depends on undeclared %q", d.name, dep)
 			}
 		}
 		state[d.name] = black
 
 		var super *lang.Class
 		if d.super != "" {
-			super = b.prog.Class(d.super)
+			super = p.prog.Class(d.super)
 			if super.IsInterface {
-				return b.errf(d.line, "class %q extends interface %q", d.name, d.super)
+				return p.errf(d.line, "class %q extends interface %q", d.name, d.super)
 			}
 		}
 		ifaces := make([]*lang.Class, 0, len(d.interfaces))
 		for _, in := range d.interfaces {
-			ic := b.prog.Class(in)
+			ic := p.prog.Class(in)
 			if !ic.IsInterface {
-				return b.errf(d.line, "%q is not an interface", in)
+				return p.errf(d.line, "%q is not an interface", in)
 			}
 			ifaces = append(ifaces, ic)
 		}
 		if d.isInterface {
-			b.prog.NewInterface(d.name, ifaces...)
+			p.prog.NewInterface(d.name, ifaces...)
 		} else {
-			b.prog.NewClass(d.name, super, ifaces...)
+			p.prog.NewClass(d.name, super, ifaces...)
 		}
 		return nil
 	}
-	for _, d := range decls {
+	for _, d := range p.classes {
 		if err := visit(d); err != nil {
 			return err
 		}
@@ -124,31 +113,32 @@ func (b *builder) declareClasses(decls []*classDecl) error {
 	return nil
 }
 
-func (b *builder) resolveType(line int, tr typeRef) (*lang.Class, error) {
-	c := b.prog.Class(tr.name)
+func (p *parser) resolveType(line int, tr typeRef) (*lang.Class, error) {
+	c := p.prog.Class(tr.name)
 	if c == nil {
-		return nil, b.errf(line, "unknown type %q", tr.name)
+		return nil, p.errf(line, "unknown type %q", tr.name)
 	}
 	for i := 0; i < tr.dims; i++ {
-		c = b.prog.ArrayOf(c)
+		c = p.prog.ArrayOf(c)
 	}
 	return c, nil
 }
 
-func (b *builder) declareMembers(decls []*classDecl) error {
-	for _, d := range decls {
-		c := b.prog.Class(d.name)
+func (p *parser) declareMembers() error {
+	for _, d := range p.classes {
+		c := p.prog.Class(d.name)
 		for _, fd := range d.fields {
-			ft, err := b.resolveType(fd.line, fd.typ)
+			ft, err := p.resolveType(fd.line, fd.typ)
 			if err != nil {
 				return err
 			}
-			if c.Field(fd.name) != nil && c.DeclaredMethod(lang.Sig{}) == nil {
-				// allow shadowing of inherited fields? The IR forbids it to
-				// keep field resolution unambiguous.
-				if f := c.Field(fd.name); f != nil && f.Owner != c {
-					return b.errf(fd.line, "field %s shadows %s", fd.name, f)
+			// The IR forbids shadowing inherited fields to keep field
+			// resolution unambiguous.
+			if f := c.Field(fd.name); f != nil {
+				if f.Owner != c {
+					return p.errf(fd.line, "field %s shadows %s", fd.name, f)
 				}
+				return p.errf(fd.line, "duplicate field %s", f)
 			}
 			if fd.static {
 				c.NewStaticField(fd.name, ft)
@@ -157,21 +147,25 @@ func (b *builder) declareMembers(decls []*classDecl) error {
 			}
 		}
 		for _, md := range d.methods {
-			var params []*lang.Class
+			params := p.types[:0]
 			for _, pd := range md.params {
-				pt, err := b.resolveType(md.line, pd.typ)
+				pt, err := p.resolveType(md.line, pd.typ)
 				if err != nil {
 					return err
 				}
 				params = append(params, pt)
 			}
+			p.types = params
 			var ret *lang.Class
 			if !md.ret.isVoid() {
 				var err error
-				ret, err = b.resolveType(md.line, md.ret)
+				ret, err = p.resolveType(md.line, md.ret)
 				if err != nil {
 					return err
 				}
+			}
+			if c.DeclaredMethod(lang.Sig{Name: md.name, Arity: len(params)}) != nil {
+				return p.errf(md.line, "duplicate method %s.%s/%d", c, md.name, len(params))
 			}
 			var m *lang.Method
 			if md.abstract {
@@ -187,15 +181,27 @@ func (b *builder) declareMembers(decls []*classDecl) error {
 	return nil
 }
 
-func (b *builder) buildBodies(decls []*classDecl) error {
-	for _, d := range decls {
-		c := b.prog.Class(d.name)
-		for _, md := range d.methods {
+// buildBodies is the second pass: it parses every concrete method's
+// body, in source order, straight into the declared method.
+func (p *parser) buildBodies() error {
+	p.vars = make(map[string]*lang.Var)
+	for _, d := range p.classes {
+		c := p.prog.Class(d.name)
+		for i := range d.methods {
+			md := &d.methods[i]
 			if md.abstract {
 				continue
 			}
-			m := c.DeclaredMethod(lang.Sig{Name: md.name, Arity: len(md.params)})
-			if err := b.buildBody(m, md); err != nil {
+			p.m = c.DeclaredMethod(lang.Sig{Name: md.name, Arity: len(md.params)})
+			clear(p.vars)
+			if p.m.This != nil {
+				p.vars["this"] = p.m.This
+			}
+			for _, pv := range p.m.Params {
+				p.vars[pv.Name] = pv
+			}
+			p.seek(md.bodyPos, md.bodyLine)
+			if err := p.body(md); err != nil {
 				return err
 			}
 		}
@@ -203,288 +209,93 @@ func (b *builder) buildBodies(decls []*classDecl) error {
 	return nil
 }
 
-type bodyScope struct {
-	b    *builder
-	m    *lang.Method
-	vars map[string]*lang.Var
+// body parses the statements of a method body up to and including its
+// closing '}'. Each statement is added to p.m as soon as it is parsed;
+// with p.m nil the body is only checked for syntax.
+func (p *parser) body(md *methodDecl) error {
+	for p.cur.kind != tokRBrace {
+		if p.cur.kind == tokEOF {
+			return p.errf(md.line, "unterminated method %s", md.name)
+		}
+		if err := p.stmt(); err != nil {
+			return err
+		}
+	}
+	p.next() // }
+	return nil
 }
 
-func (s *bodyScope) lookup(line int, name string) (*lang.Var, error) {
-	if v, ok := s.vars[name]; ok {
+// lookup resolves a variable of the method being built. An empty name
+// (an absent left-hand side) resolves to nil.
+func (p *parser) lookup(line int, name string) (*lang.Var, error) {
+	if v, ok := p.vars[name]; ok || name == "" {
 		return v, nil
 	}
-	return nil, s.b.errf(line, "undeclared variable %q in %s", name, s.m)
+	return nil, p.errf(line, "undeclared variable %q in %s", name, p.m)
+}
+
+// lookup2 resolves two variables, a first.
+func (p *parser) lookup2(line int, a, b string) (*lang.Var, *lang.Var, error) {
+	va, err := p.lookup(line, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	vb, err := p.lookup(line, b)
+	return va, vb, err
 }
 
 // resolveBase resolves the dotted base of a field access or call: a
-// single-part name that is a local variable wins; otherwise the whole
-// dotted name must be a class.
-func (s *bodyScope) resolveBase(line int, parts []string) (*lang.Var, *lang.Class, error) {
-	if len(parts) == 1 {
-		if v, ok := s.vars[parts[0]]; ok {
-			return v, nil, nil
-		}
+// name that is a local variable wins; otherwise the whole dotted name
+// must be a class.
+func (p *parser) resolveBase(line int, name string) (*lang.Var, *lang.Class, error) {
+	if v, ok := p.vars[name]; ok {
+		return v, nil, nil
 	}
-	name := dotted(parts)
-	if c := s.b.prog.Class(name); c != nil {
+	if c := p.prog.Class(name); c != nil {
 		return nil, c, nil
 	}
-	return nil, nil, s.b.errf(line, "%q is neither a variable nor a class", name)
+	return nil, nil, p.errf(line, "%q is neither a variable nor a class", name)
 }
 
-func (b *builder) buildBody(m *lang.Method, md *methodDecl) error {
-	s := &bodyScope{b: b, m: m, vars: make(map[string]*lang.Var)}
-	if m.This != nil {
-		s.vars["this"] = m.This
+// field resolves base.sel: an instance field of a variable's type, with
+// that variable, or a static field of a class, with a nil variable.
+func (p *parser) field(line int, name string) (*lang.Var, *lang.Field, error) {
+	base, sel, _ := splitLast(name)
+	v, cls, err := p.resolveBase(line, base)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, pv := range m.Params {
-		s.vars[pv.Name] = pv
-	}
-	for _, st := range md.body {
-		if err := b.buildStmt(s, st); err != nil {
-			return err
+	if v != nil {
+		f := v.Type.Field(sel)
+		if f == nil || f.IsStatic {
+			return nil, nil, p.errf(line, "type %s has no instance field %q", v.Type, sel)
 		}
+		return v, f, nil
 	}
-	return nil
+	f := cls.Field(sel)
+	if f == nil || !f.IsStatic {
+		return nil, nil, p.errf(line, "class %s has no static field %q", cls, sel)
+	}
+	return nil, f, nil
 }
 
-func (b *builder) buildStmt(s *bodyScope, st *stmtAST) error {
-	m := s.m
-	switch st.kind {
-	case sVarDecl:
-		if _, dup := s.vars[st.lhs]; dup {
-			return b.errf(st.line, "variable %q redeclared", st.lhs)
-		}
-		t, err := b.resolveType(st.line, st.typ)
-		if err != nil {
-			return err
-		}
-		s.vars[st.lhs] = m.NewVar(st.lhs, t)
-
-	case sNew:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		t, err := b.resolveType(st.line, st.typ)
-		if err != nil {
-			return err
-		}
-		m.AddAlloc(lhs, t)
-
-	case sCopy:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		rhs, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		m.AddCopy(lhs, rhs)
-
-	case sGetField:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		base, cls, err := s.resolveBase(st.line, st.base)
-		if err != nil {
-			return err
-		}
-		if base != nil {
-			f := base.Type.Field(st.sel)
-			if f == nil || f.IsStatic {
-				return b.errf(st.line, "type %s has no instance field %q", base.Type, st.sel)
-			}
-			m.AddLoad(lhs, base, f)
-		} else {
-			f := cls.Field(st.sel)
-			if f == nil || !f.IsStatic {
-				return b.errf(st.line, "class %s has no static field %q", cls, st.sel)
-			}
-			m.AddStaticLoad(lhs, f)
-		}
-
-	case sSetField:
-		rhs, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		base, cls, err := s.resolveBase(st.line, st.base)
-		if err != nil {
-			return err
-		}
-		if base != nil {
-			f := base.Type.Field(st.sel)
-			if f == nil || f.IsStatic {
-				return b.errf(st.line, "type %s has no instance field %q", base.Type, st.sel)
-			}
-			m.AddStore(base, f, rhs)
-		} else {
-			f := cls.Field(st.sel)
-			if f == nil || !f.IsStatic {
-				return b.errf(st.line, "class %s has no static field %q", cls, st.sel)
-			}
-			m.AddStaticStore(f, rhs)
-		}
-
-	case sGetElem:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		arr, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		f := arr.Type.Field(lang.ElemField)
-		if f == nil {
-			return b.errf(st.line, "%s is not an array type", arr.Type)
-		}
-		m.AddLoad(lhs, arr, f)
-
-	case sSetElem:
-		arr, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		rhs, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		f := arr.Type.Field(lang.ElemField)
-		if f == nil {
-			return b.errf(st.line, "%s is not an array type", arr.Type)
-		}
-		m.AddStore(arr, f, rhs)
-
-	case sCast:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		rhs, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		t, err := b.resolveType(st.line, st.typ)
-		if err != nil {
-			return err
-		}
-		m.AddCast(lhs, t, rhs)
-
-	case sCall:
-		var lhs *lang.Var
-		if st.lhs != "" {
-			var err error
-			lhs, err = s.lookup(st.line, st.lhs)
-			if err != nil {
-				return err
-			}
-		}
-		args, err := b.lookupArgs(s, st)
-		if err != nil {
-			return err
-		}
-		base, cls, err := s.resolveBase(st.line, st.base)
-		if err != nil {
-			return err
-		}
-		if base != nil {
-			sig := lang.Sig{Name: st.sel, Arity: len(args)}
-			if base.Type.LookupMethod(sig) == nil {
-				return b.errf(st.line, "no method %s on %s", sig, base.Type)
-			}
-			m.AddVirtualCall(lhs, base, st.sel, args...)
-		} else {
-			callee := cls.DeclaredMethod(lang.Sig{Name: st.sel, Arity: len(args)})
-			if callee == nil || !callee.IsStatic {
-				return b.errf(st.line, "no static method %s/%d on %s", st.sel, len(args), cls)
-			}
-			m.AddStaticCall(lhs, callee, args...)
-		}
-
-	case sSpecial:
-		var lhs *lang.Var
-		if st.lhs != "" {
-			var err error
-			lhs, err = s.lookup(st.line, st.lhs)
-			if err != nil {
-				return err
-			}
-		}
-		base, err := s.lookup(st.line, st.base[0])
-		if err != nil {
-			return err
-		}
-		cls := b.prog.Class(st.typ.name)
-		if cls == nil {
-			return b.errf(st.line, "unknown class %q in special call", st.typ.name)
-		}
-		args, err := b.lookupArgs(s, st)
-		if err != nil {
-			return err
-		}
-		callee := cls.DeclaredMethod(lang.Sig{Name: st.sel, Arity: len(args)})
-		if callee == nil || callee.IsStatic || callee.IsAbstract {
-			return b.errf(st.line, "no concrete instance method %s/%d on %s", st.sel, len(args), cls)
-		}
-		m.AddSpecialCall(lhs, base, callee, args...)
-
-	case sReturn:
-		if st.rhs == "" {
-			m.AddReturn(nil)
-		} else {
-			v, err := s.lookup(st.line, st.rhs)
-			if err != nil {
-				return err
-			}
-			m.AddReturn(v)
-		}
-
-	case sThrow:
-		v, err := s.lookup(st.line, st.rhs)
-		if err != nil {
-			return err
-		}
-		m.AddThrow(v)
-
-	case sCatch:
-		lhs, err := s.lookup(st.line, st.lhs)
-		if err != nil {
-			return err
-		}
-		t, err := b.resolveType(st.line, st.typ)
-		if err != nil {
-			return err
-		}
-		m.AddCatch(lhs, t)
-
-	default:
-		return b.errf(st.line, "internal: unknown stmt kind %d", st.kind)
+// elemField returns the element pseudo-field of arr's array type.
+func (p *parser) elemField(line int, arr *lang.Var) (*lang.Field, error) {
+	if f := arr.Type.Field(lang.ElemField); f != nil {
+		return f, nil
 	}
-	return nil
+	return nil, p.errf(line, "%s is not an array type", arr.Type)
 }
 
-func (b *builder) lookupArgs(s *bodyScope, st *stmtAST) ([]*lang.Var, error) {
-	args := make([]*lang.Var, 0, len(st.args))
-	for _, a := range st.args {
-		v, err := s.lookup(st.line, a)
+// lookupArgs resolves the argument names argList collected.
+func (p *parser) lookupArgs(line int) ([]*lang.Var, error) {
+	args := make([]*lang.Var, 0, len(p.args))
+	for _, a := range p.args {
+		v, err := p.lookup(line, a)
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, v)
 	}
 	return args, nil
-}
-
-// sortedKeys is a small helper used by tests.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,7 +7,7 @@ import (
 
 // FuzzParse checks that the parser never panics and that every program
 // it accepts survives the Print→Parse round trip with identical
-// statistics. Run the seed corpus with `go test`; explore with
+// statistics and identical printed text. Run the seed corpus with `go test`; explore with
 // `go test -fuzz=FuzzParse ./internal/parser`.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -26,6 +26,12 @@ func FuzzParse(f *testing.F) {
 		"class \x00 {}",
 		"class A { field f: }",
 		"class A { method m(: void {} }",
+		"class A { static method m(): void { var x: A\n x = } }\nentry A.m/0",
+		"class A { static method m(p: A): void { A.m(p }\n}\nentry A.m/1",
+		"class A { method m(): void { return }\n static method s(): void { var x: A\n x = new A\n special x.m() } }\nentry A.s/0",
+		"class A { static method m(): void { var x: A[]\n x[] = } }\nentry A.m/0",
+		"class A { static method m(): void { var x: A\n x = (A x } }\nentry A.m/0",
+		"class A { static method m(): void { var x: A\n x = new A\n return x x } }\nentry A.m/0",
 		strings.Repeat("class A {}\n", 3),
 	}
 	for _, s := range seeds {
@@ -43,6 +49,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if prog.Stats() != prog2.Stats() {
 			t.Fatalf("stats drift: %+v vs %+v", prog.Stats(), prog2.Stats())
+		}
+		if text2 := Print(prog2); text2 != text {
+			t.Fatalf("printed form not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", text, text2)
 		}
 	})
 }

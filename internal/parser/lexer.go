@@ -1,6 +1,6 @@
 // Package parser implements the textual form of the lang IR: a lexer, a
-// recursive-descent parser, a semantic builder producing *lang.Program,
-// and a printer whose output round-trips through the parser.
+// two-pass recursive-descent parser that builds a *lang.Program as it
+// goes, and a printer whose output round-trips through the parser.
 //
 // The format (see testdata and the README) looks like:
 //
@@ -20,7 +20,6 @@ package parser
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -53,6 +52,7 @@ type token struct {
 	kind tokenKind
 	text string
 	line int
+	pos  int // byte offset of text in the source
 }
 
 func (t token) String() string {
@@ -100,37 +100,70 @@ func (lx *lexer) next() token {
 			}
 		case punct[c] != tokEOF:
 			lx.pos++
-			return token{punct[c], src[i:lx.pos], lx.line}
+			return token{punct[c], src[i:lx.pos], lx.line, i}
 		case c == '[':
 			if i+1 == n || src[i+1] != ']' {
 				lx.err = fmt.Errorf("line %d: '[' must be followed by ']'", lx.line)
 				break
 			}
 			lx.pos += 2
-			return token{tokArr, src[i:lx.pos], lx.line}
-		case isIdentStart(rune(c)):
-			for lx.pos < n && isIdentPart(rune(src[lx.pos])) {
+			return token{tokArr, src[i:lx.pos], lx.line, i}
+		case identStart[c]:
+			for lx.pos < n && identPart[src[lx.pos]] {
 				lx.pos++
 			}
-			return token{tokIdent, src[i:lx.pos], lx.line}
+			return token{tokIdent, src[i:lx.pos], lx.line, i}
 		case c >= '0' && c <= '9':
 			for lx.pos < n && src[lx.pos] >= '0' && src[lx.pos] <= '9' {
 				lx.pos++
 			}
-			return token{tokInt, src[i:lx.pos], lx.line}
+			return token{tokInt, src[i:lx.pos], lx.line, i}
 		default:
 			lx.err = fmt.Errorf("line %d: unexpected character %q", lx.line, rune(c))
 		}
 	}
-	return token{tokEOF, "", lx.line}
+	return token{tokEOF, "", lx.line, lx.pos}
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_' || r == '$'
+// identStart and identPart classify bytes, each read as a Latin-1
+// rune: letters, '_' and '$' start an identifier, digits may continue
+// one.
+var identStart, identPart [256]bool
+
+func init() {
+	for c := range identStart {
+		r := rune(c)
+		identStart[c] = unicode.IsLetter(r) || r == '_' || r == '$'
+		identPart[c] = identStart[c] || unicode.IsDigit(r)
+	}
 }
 
-func isIdentPart(r rune) bool {
-	return isIdentStart(r) || unicode.IsDigit(r)
+// skipBody moves the lexer to the '}' that closes a method body, as
+// lexing up to it would, and reports whether it found one. It stops
+// early, returning false, at anything a body cannot hold or lexing
+// would reject: '{', a '[' without its ']', a bad character, or the end
+// of input.
+func (lx *lexer) skipBody() bool {
+	src := lx.src
+	for ; lx.pos < len(src); lx.pos++ {
+		switch c := src[lx.pos]; {
+		case c == '}':
+			return true
+		case c == '\n':
+			lx.line++
+		case c == '/' && lx.pos+1 < len(src) && src[lx.pos+1] == '/':
+			for lx.pos+1 < len(src) && src[lx.pos+1] != '\n' {
+				lx.pos++
+			}
+		case c == '[' && lx.pos+1 < len(src) && src[lx.pos+1] == ']':
+			lx.pos++
+		case c == '{' || c == '[':
+			return false
+		case !identPart[c] && punct[c] == tokEOF && c != ' ' && c != '\t' && c != '\r':
+			return false
+		}
+	}
+	return false
 }
 
 // keywords of the top-level and statement grammar. They are contextual:
@@ -154,6 +187,3 @@ const (
 	kwThrow      = "throw"
 	kwCatch      = "catch"
 )
-
-// dotted joins name parts for error messages.
-func dotted(parts []string) string { return strings.Join(parts, ".") }

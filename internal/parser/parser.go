@@ -10,18 +10,24 @@ import (
 // name is used in error messages (typically a file name). A lex error
 // is reported whenever the parse reached it, even if the tokens before
 // it formed a complete file.
+//
+// Parsing takes two passes over the source. The first parses the
+// declarations (classes, fields, method signatures, entry) and skips
+// each method body, noting where it starts. Once every class and member
+// is declared, the second pass restarts the lexer at each body and
+// builds its statements straight into the program. Declaration order in
+// the source therefore does not matter.
 func Parse(name, src string) (*lang.Program, error) {
 	p := &parser{name: name, lx: newLexer(src)}
-	p.cur = p.lx.next()
-	p.peek = p.lx.next()
-	ast, err := p.file()
+	p.seek(0, 1)
+	err := p.file()
 	if p.lx.err != nil {
 		return nil, fmt.Errorf("%s: %w", name, p.lx.err)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return build(name, ast)
+	return p.build()
 }
 
 // parser is a recursive-descent parser over a two-token window: cur and
@@ -30,6 +36,73 @@ type parser struct {
 	name      string
 	lx        lexer
 	cur, peek token
+
+	// Declarations collected by the first pass.
+	classes    []*classDecl
+	entryClass string
+	entryName  string
+	entryArity int
+	entryLine  int
+
+	// Second-pass state (build.go, stmt.go). m is the method whose body
+	// is being parsed; while it is nil a body is only checked for syntax.
+	prog  *lang.Program
+	m     *lang.Method
+	vars  map[string]*lang.Var // m's variables by name
+	args  []string             // the current call's argument names
+	types []*lang.Class        // scratch for method parameter types
+}
+
+// Declaration records kept by the first pass. Names are kept as strings
+// and resolved once every class is known.
+
+type classDecl struct {
+	line        int
+	name        string
+	isInterface bool
+	super       string   // "" for none / Object
+	interfaces  []string // implements (classes) or extends (interfaces)
+	fields      []fieldDecl
+	methods     []methodDecl
+}
+
+type fieldDecl struct {
+	line   int
+	name   string
+	typ    typeRef
+	static bool
+}
+
+type methodDecl struct {
+	line     int
+	name     string
+	static   bool
+	abstract bool
+	params   []paramDecl
+	ret      typeRef // zero value means void
+	bodyPos  int     // source offset of the body's first token
+	bodyLine int     // and its line
+}
+
+type paramDecl struct {
+	name string
+	typ  typeRef
+}
+
+// typeRef is a source-level type: a dotted class name plus array depth.
+type typeRef struct {
+	name string // "" means void
+	dims int
+}
+
+func (t typeRef) isVoid() bool { return t.name == "" }
+
+// seek restarts the lexer at byte offset pos of the source, which lies
+// on the given line, and refills the token window.
+func (p *parser) seek(pos, line int) {
+	p.lx = lexer{src: p.lx.src, pos: pos, line: line}
+	p.cur = p.lx.next()
+	p.peek = p.lx.next()
 }
 
 func (p *parser) next() token {
@@ -59,84 +132,96 @@ func (p *parser) atKeyword(kw string) bool {
 	return t.kind == tokIdent && t.text == kw
 }
 
-func (p *parser) file() (*fileAST, error) {
-	f := &fileAST{}
+// file is the first pass: it collects the class declarations and the
+// entry point.
+func (p *parser) file() error {
 	for {
 		t := p.cur
 		switch {
 		case t.kind == tokEOF:
-			if f.entryName == "" {
-				return nil, p.errf(t.line, "missing 'entry' declaration")
+			if p.entryName == "" {
+				return p.errf(t.line, "missing 'entry' declaration")
 			}
-			return f, nil
+			return nil
 		case p.atKeyword(kwClass), p.atKeyword(kwInterface):
 			cd, err := p.classDecl()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			f.classes = append(f.classes, cd)
+			p.classes = append(p.classes, cd)
 		case p.atKeyword(kwEntry):
 			p.next()
-			cls, err := p.dottedName()
+			name, err := p.dottedName()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if len(cls) < 2 {
-				return nil, p.errf(t.line, "entry must be Class.method, found %q", dotted(cls))
+			cls, meth, ok := splitLast(name)
+			if !ok {
+				return p.errf(t.line, "entry must be Class.method, found %q", name)
 			}
-			f.entryClass = dotted(cls[:len(cls)-1])
-			f.entryName = cls[len(cls)-1]
-			f.entryLine = t.line
+			p.entryClass, p.entryName, p.entryLine = cls, meth, t.line
 			if p.cur.kind == tokSlash {
 				p.next()
 				it, err := p.expect(tokInt)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for _, c := range it.text {
-					f.entryArity = f.entryArity*10 + int(c-'0')
+					p.entryArity = p.entryArity*10 + int(c-'0')
 				}
 			}
 		default:
-			return nil, p.errf(t.line, "expected 'class', 'interface' or 'entry', found %s", t)
+			return p.errf(t.line, "expected 'class', 'interface' or 'entry', found %s", t)
 		}
 	}
 }
 
-// dottedName parses ident (. ident)* and returns the parts.
-func (p *parser) dottedName() ([]string, error) {
+// dottedName parses ident (. ident)* and returns the parts joined by
+// dots. When the name is written without spaces or comments inside it,
+// the result is a slice of the source and costs no allocation.
+func (p *parser) dottedName() (string, error) {
 	t, err := p.expect(tokIdent)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	parts := []string{t.text}
-	for p.cur.kind == tokDot {
-		// Only continue when an identifier follows: "x.f = y" must not
-		// swallow the '=' position.
-		if p.peek.kind != tokIdent {
-			break
+	name, start, end := t.text, t.pos, t.pos+len(t.text)
+	// Only continue when an identifier follows: "x.f = y" must not
+	// swallow the '=' position.
+	for p.cur.kind == tokDot && p.peek.kind == tokIdent {
+		dot, id := p.next(), p.next()
+		if start >= 0 && dot.pos == end && id.pos == end+1 {
+			name = p.lx.src[start : id.pos+len(id.text)]
+		} else {
+			start = -1
+			name += "." + id.text
 		}
-		p.next()
-		t, err = p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, t.text)
+		end = id.pos + len(id.text)
 	}
-	return parts, nil
+	return name, nil
 }
 
-// typeRefAfter parses a dotted type name with optional [] suffixes.
+// splitLast splits a dotted name at its last dot; ok is false for a
+// name without one.
+func splitLast(name string) (prefix, last string, ok bool) {
+	for i := len(name) - 1; i >= 0; i-- {
+		if name[i] == '.' {
+			return name[:i], name[i+1:], true
+		}
+	}
+	return "", name, false
+}
+
+// typeRef parses a dotted type name with optional [] suffixes.
 func (p *parser) typeRef() (typeRef, error) {
 	if p.atKeyword(kwVoid) {
 		p.next()
 		return typeRef{}, nil
 	}
-	parts, err := p.dottedName()
+	name, err := p.dottedName()
 	if err != nil {
 		return typeRef{}, err
 	}
-	tr := typeRef{name: dotted(parts)}
+	tr := typeRef{name: name}
 	for p.cur.kind == tokArr {
 		p.next()
 		tr.dims++
@@ -147,11 +232,10 @@ func (p *parser) typeRef() (typeRef, error) {
 func (p *parser) classDecl() (*classDecl, error) {
 	t := p.next() // class | interface
 	cd := &classDecl{line: t.line, isInterface: t.text == kwInterface}
-	nameParts, err := p.dottedName()
-	if err != nil {
+	var err error
+	if cd.name, err = p.dottedName(); err != nil {
 		return nil, err
 	}
-	cd.name = dotted(nameParts)
 	if p.atKeyword(kwExtends) {
 		p.next()
 		sup, err := p.dottedName()
@@ -159,17 +243,17 @@ func (p *parser) classDecl() (*classDecl, error) {
 			return nil, err
 		}
 		if cd.isInterface {
-			cd.interfaces = append(cd.interfaces, dotted(sup))
+			cd.interfaces = append(cd.interfaces, sup)
 			for p.cur.kind == tokComma {
 				p.next()
 				more, err := p.dottedName()
 				if err != nil {
 					return nil, err
 				}
-				cd.interfaces = append(cd.interfaces, dotted(more))
+				cd.interfaces = append(cd.interfaces, more)
 			}
 		} else {
-			cd.super = dotted(sup)
+			cd.super = sup
 		}
 	}
 	if p.atKeyword(kwImplements) {
@@ -182,7 +266,7 @@ func (p *parser) classDecl() (*classDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			cd.interfaces = append(cd.interfaces, dotted(in))
+			cd.interfaces = append(cd.interfaces, in)
 			if p.cur.kind != tokComma {
 				break
 			}
@@ -230,49 +314,51 @@ func (p *parser) classDecl() (*classDecl, error) {
 	return cd, nil
 }
 
-func (p *parser) fieldDecl(static bool) (*fieldDecl, error) {
+func (p *parser) fieldDecl(static bool) (fieldDecl, error) {
 	t := p.next() // field
 	name, err := p.expect(tokIdent)
 	if err != nil {
-		return nil, err
+		return fieldDecl{}, err
 	}
 	if _, err := p.expect(tokColon); err != nil {
-		return nil, err
+		return fieldDecl{}, err
 	}
 	tr, err := p.typeRef()
 	if err != nil {
-		return nil, err
+		return fieldDecl{}, err
 	}
 	if tr.isVoid() {
-		return nil, p.errf(t.line, "field %s cannot be void", name.text)
+		return fieldDecl{}, p.errf(t.line, "field %s cannot be void", name.text)
 	}
-	return &fieldDecl{line: t.line, name: name.text, typ: tr, static: static}, nil
+	return fieldDecl{line: t.line, name: name.text, typ: tr, static: static}, nil
 }
 
-func (p *parser) methodDecl(static, abstract bool) (*methodDecl, error) {
+// methodDecl parses a method signature. A concrete method's body is
+// skipped, not parsed: the second pass comes back to it.
+func (p *parser) methodDecl(static, abstract bool) (methodDecl, error) {
 	t := p.next() // method
 	name, err := p.expect(tokIdent)
 	if err != nil {
-		return nil, err
+		return methodDecl{}, err
 	}
-	md := &methodDecl{line: t.line, name: name.text, static: static, abstract: abstract}
+	md := methodDecl{line: t.line, name: name.text, static: static, abstract: abstract}
 	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
+		return md, err
 	}
 	for p.cur.kind != tokRParen {
 		pn, err := p.expect(tokIdent)
 		if err != nil {
-			return nil, err
+			return md, err
 		}
 		if _, err := p.expect(tokColon); err != nil {
-			return nil, err
+			return md, err
 		}
 		tr, err := p.typeRef()
 		if err != nil {
-			return nil, err
+			return md, err
 		}
 		if tr.isVoid() {
-			return nil, p.errf(pn.line, "parameter %s cannot be void", pn.text)
+			return md, p.errf(pn.line, "parameter %s cannot be void", pn.text)
 		}
 		md.params = append(md.params, paramDecl{name: pn.text, typ: tr})
 		if p.cur.kind == tokComma {
@@ -281,269 +367,22 @@ func (p *parser) methodDecl(static, abstract bool) (*methodDecl, error) {
 	}
 	p.next() // )
 	if _, err := p.expect(tokColon); err != nil {
-		return nil, err
+		return md, err
 	}
-	md.ret, err = p.typeRef()
-	if err != nil {
-		return nil, err
-	}
-	if md.abstract {
-		return md, nil
+	if md.ret, err = p.typeRef(); err != nil || md.abstract {
+		return md, err
 	}
 	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
+		return md, err
 	}
-	for p.cur.kind != tokRBrace {
-		if p.cur.kind == tokEOF {
-			return nil, p.errf(md.line, "unterminated method %s", md.name)
-		}
-		st, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		md.body = append(md.body, st)
+	md.bodyPos, md.bodyLine = p.cur.pos, p.cur.line
+	// No statement contains a brace, so the body ends at the next '}'.
+	lx := lexer{src: p.lx.src, pos: md.bodyPos, line: md.bodyLine}
+	if !lx.skipBody() {
+		// The body has a syntax or lex error: parse it to report that error.
+		p.seek(md.bodyPos, md.bodyLine)
+		return md, p.body(&md)
 	}
-	p.next() // }
+	p.seek(lx.pos+1, lx.line)
 	return md, nil
-}
-
-func (p *parser) argList() ([]string, error) {
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	var args []string
-	for p.cur.kind != tokRParen {
-		a, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a.text)
-		if p.cur.kind == tokComma {
-			p.next()
-		}
-	}
-	p.next() // )
-	return args, nil
-}
-
-func (p *parser) stmt() (*stmtAST, error) {
-	t := p.cur
-	switch {
-	case p.atKeyword(kwVar):
-		p.next()
-		name, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokColon); err != nil {
-			return nil, err
-		}
-		tr, err := p.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tr.isVoid() {
-			return nil, p.errf(t.line, "variable %s cannot be void", name.text)
-		}
-		return &stmtAST{kind: sVarDecl, line: t.line, lhs: name.text, typ: tr}, nil
-
-	case p.atKeyword(kwReturn):
-		p.next()
-		st := &stmtAST{kind: sReturn, line: t.line}
-		if p.cur.kind == tokIdent && !p.startsStmt() {
-			st.rhs = p.next().text
-		}
-		return st, nil
-
-	case p.atKeyword(kwThrow):
-		p.next()
-		v, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtAST{kind: sThrow, line: t.line, rhs: v.text}, nil
-
-	case p.atKeyword(kwSpecial):
-		return p.specialCall(t.line, "")
-
-	case t.kind == tokIdent:
-		return p.assignOrCall()
-
-	default:
-		return nil, p.errf(t.line, "expected statement, found %s", t)
-	}
-}
-
-// startsStmt reports whether the current identifier begins a new
-// statement keyword, used to disambiguate a bare `return` followed by
-// another statement.
-func (p *parser) startsStmt() bool {
-	switch p.cur.text {
-	case kwVar, kwReturn, kwSpecial, kwThrow:
-		return true
-	}
-	// `x = ...`, `x.f = ...`, `x.m(...)`, `x[] = ...` all continue with
-	// '=', '.', '(' or '[]'; a lone identifier at end of body is a return value.
-	switch p.peek.kind {
-	case tokAssign, tokDot, tokLParen, tokArr:
-		return true
-	}
-	return false
-}
-
-func (p *parser) specialCall(line int, lhs string) (*stmtAST, error) {
-	p.next() // special
-	recv, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokDot); err != nil {
-		return nil, err
-	}
-	parts, err := p.dottedName()
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) < 2 {
-		return nil, p.errf(line, "special call needs Class.method after receiver")
-	}
-	args, err := p.argList()
-	if err != nil {
-		return nil, err
-	}
-	return &stmtAST{
-		kind: sSpecial, line: line, lhs: lhs,
-		base: []string{recv.text},
-		typ:  typeRef{name: dotted(parts[:len(parts)-1])},
-		sel:  parts[len(parts)-1],
-		args: args,
-	}, nil
-}
-
-// assignOrCall parses statements that begin with an identifier.
-func (p *parser) assignOrCall() (*stmtAST, error) {
-	line := p.cur.line
-	first, err := p.dottedName()
-	if err != nil {
-		return nil, err
-	}
-	switch p.cur.kind {
-	case tokArr: // x[] = y
-		p.next()
-		if len(first) != 1 {
-			return nil, p.errf(line, "array store base must be a variable, found %q", dotted(first))
-		}
-		if _, err := p.expect(tokAssign); err != nil {
-			return nil, err
-		}
-		rhs, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtAST{kind: sSetElem, line: line, lhs: first[0], rhs: rhs.text}, nil
-
-	case tokLParen: // base.m(args) with no lhs
-		if len(first) < 2 {
-			return nil, p.errf(line, "call needs a receiver or class qualifier: %q", dotted(first))
-		}
-		args, err := p.argList()
-		if err != nil {
-			return nil, err
-		}
-		return &stmtAST{kind: sCall, line: line, base: first[:len(first)-1], sel: first[len(first)-1], args: args}, nil
-
-	case tokAssign:
-		p.next()
-		if len(first) > 1 { // base.f = rhs  (instance or static store)
-			rhs, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			return &stmtAST{kind: sSetField, line: line, base: first[:len(first)-1], sel: first[len(first)-1], rhs: rhs.text}, nil
-		}
-		return p.assignRHS(line, first[0])
-
-	default:
-		return nil, p.errf(line, "expected '=', '(' or '[]' after %q, found %s", dotted(first), p.cur)
-	}
-}
-
-// assignRHS parses the right-hand side of `lhs = ...`.
-func (p *parser) assignRHS(line int, lhs string) (*stmtAST, error) {
-	switch {
-	case p.atKeyword(kwCatch):
-		p.next()
-		tr, err := p.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tr.isVoid() {
-			return nil, p.errf(line, "cannot catch void")
-		}
-		return &stmtAST{kind: sCatch, line: line, lhs: lhs, typ: tr}, nil
-
-	case p.atKeyword(kwNew):
-		p.next()
-		tr, err := p.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tr.isVoid() {
-			return nil, p.errf(line, "cannot allocate void")
-		}
-		return &stmtAST{kind: sNew, line: line, lhs: lhs, typ: tr}, nil
-
-	case p.atKeyword(kwSpecial):
-		return p.specialCall(line, lhs)
-
-	case p.cur.kind == tokLParen: // cast: lhs = (T) rhs
-		p.next()
-		tr, err := p.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		if tr.isVoid() {
-			return nil, p.errf(line, "cannot cast to void")
-		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		rhs, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		return &stmtAST{kind: sCast, line: line, lhs: lhs, typ: tr, rhs: rhs.text}, nil
-
-	case p.cur.kind == tokIdent:
-		parts, err := p.dottedName()
-		if err != nil {
-			return nil, err
-		}
-		switch p.cur.kind {
-		case tokLParen: // lhs = base.m(args)
-			if len(parts) < 2 {
-				return nil, p.errf(line, "call needs a receiver or class qualifier: %q", dotted(parts))
-			}
-			args, err := p.argList()
-			if err != nil {
-				return nil, err
-			}
-			return &stmtAST{kind: sCall, line: line, lhs: lhs, base: parts[:len(parts)-1], sel: parts[len(parts)-1], args: args}, nil
-		case tokArr: // lhs = rhs[]
-			p.next()
-			if len(parts) != 1 {
-				return nil, p.errf(line, "array load base must be a variable, found %q", dotted(parts))
-			}
-			return &stmtAST{kind: sGetElem, line: line, lhs: lhs, rhs: parts[0]}, nil
-		default:
-			if len(parts) == 1 { // lhs = rhs
-				return &stmtAST{kind: sCopy, line: line, lhs: lhs, rhs: parts[0]}, nil
-			}
-			// lhs = base.f (instance or static load)
-			return &stmtAST{kind: sGetField, line: line, lhs: lhs, base: parts[:len(parts)-1], sel: parts[len(parts)-1]}, nil
-		}
-
-	default:
-		return nil, p.errf(line, "unexpected %s after '='", p.cur)
-	}
 }

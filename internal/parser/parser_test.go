@@ -270,6 +270,11 @@ func TestErrors(t *testing.T) {
 		{"void-var", "class M { static method main(): void { var x: void } }\nentry M.main/0", "cannot be void"},
 		{"instance-entry", "class M { method main(): void { return } }\nentry M.main/0", "must be static"},
 		{"extends-iface", "interface I {}\nclass A extends I {}\nentry A.m/0", "extends interface"},
+		// Inputs that lang's constructors would reject with a panic.
+		{"dup-method", "class A { method m(): void { return }\n method m(): A { return } }\nentry A.m/0", "duplicate method A.m/0"},
+		{"dup-field", "class A { field f: A\n static field f: A }\nentry A.m/0", "duplicate field A.f"},
+		{"new-iface", "interface I {}\nclass M { static method main(): void { var x: I\n x = new I } }\nentry M.main/0", "cannot allocate interface I"},
+		{"void-return-value", "class M { static method main(): void { var x: M\n return x } }\nentry M.main/0", "value return from void method"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,6 +284,30 @@ func TestErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+	// One case per statement-level syntax path: the whole message,
+	// including its line, must stay as it is.
+	exact := []struct {
+		name, src, want string
+	}{
+		{"assign-at-end", "class M { static method main(): void { var x: M\n x = } }\nentry M.main/0",
+			"assign-at-end.ir:2: unexpected '}' after '='"},
+		{"unclosed-args", "class M { static method f(a: M): void { return }\n static method main(): void { var x: M\n x = new M\n M.f(x }\n}\nentry M.main/0",
+			"unclosed-args.ir:4: expected identifier, found '}'"},
+		{"special-no-class", "class M { method m(): void { return }\n static method main(): void { var x: M\n x = new M\n special x.m() } }\nentry M.main/0",
+			"special-no-class.ir:4: special call needs Class.method after receiver"},
+		{"elem-store-no-rhs", "class M { static method main(): void { var x: M[]\n x = new M[]\n x[] = } }\nentry M.main/0",
+			"elem-store-no-rhs.ir:3: expected identifier, found '}'"},
+		{"unclosed-cast", "class M { static method main(): void { var x: M\n x = new M\n x = (M x } }\nentry M.main/0",
+			`unclosed-cast.ir:3: expected ')', found "x"`},
+	}
+	for _, tc := range exact {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(tc.name+".ir", tc.src)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -315,14 +344,6 @@ func TestPrintContainsDecls(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("printed output missing %q\n%s", want, out)
 		}
-	}
-}
-
-func TestSortedKeysHelper(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2}
-	got := sortedKeys(m)
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("sortedKeys=%v", got)
 	}
 }
 

@@ -390,11 +390,12 @@ const objUnknown = -2
 type objTranslator struct {
 	s, bs *solver
 	d     *delta.Diff
+	dirty []bool // the tainter's dirty methods, by base Method.ID
 	cache []int
 }
 
-func newObjTranslator(s, bs *solver, d *delta.Diff) *objTranslator {
-	t := &objTranslator{s: s, bs: bs, d: d, cache: make([]int, len(bs.csobjs))}
+func newObjTranslator(s, bs *solver, d *delta.Diff, dirty []bool) *objTranslator {
+	t := &objTranslator{s: s, bs: bs, d: d, dirty: dirty, cache: make([]int, len(bs.csobjs))}
 	for i := range t.cache {
 		t.cache[i] = objUnknown
 	}
@@ -409,7 +410,11 @@ func (t *objTranslator) trObj(b int) int {
 	o := t.bs.csobjs[b]
 	// Context-insensitive only: under the alloc-site model Obj.Rep is
 	// the allocation site itself, and the site map carries it across.
-	if o.Ctx == t.bs.emptyHeap {
+	// Objects of dirty methods stay behind: the edit may have made the
+	// method unreachable, and a seeded node (say, a field node that was
+	// only ever loaded through, so never tainted) must not intern an
+	// object the edited program never allocates.
+	if o.Ctx == t.bs.emptyHeap && !t.dirty[o.Obj.Rep.Method.ID] {
 		if nsite := t.d.Sites[o.Obj.Rep]; nsite != nil {
 			r = t.s.csObj(t.s.emptyHeap, t.s.opts.Heap.Obj(nsite))
 		}
@@ -484,7 +489,7 @@ func seedSolver(s, bs *solver, d *delta.Diff, t *tainter, st *IncrementalStats) 
 		}
 	}()
 
-	x := &seeder{s: s, bs: bs, d: d, t: t, tr: newObjTranslator(s, bs, d), st: st}
+	x := &seeder{s: s, bs: bs, d: d, t: t, tr: newObjTranslator(s, bs, d, t.dirty), st: st}
 	x.frozen = make([]bool, 0, len(bs.nodes))
 	x.nodeMap = make([]int, len(bs.nodes))
 	for i := range x.nodeMap {

@@ -4,24 +4,32 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mahjong/internal/delta"
 	"mahjong/internal/faultinject"
 	"mahjong/internal/lang"
+	"mahjong/internal/parser"
 	"mahjong/internal/synth"
 )
 
 // assertSameAnalysis asserts that two results over the SAME program
 // object agree on every fact, compared through shared lang identities:
-// per-variable points-to sets (as allocation-site labels), the call
-// graph, reachable-method counts, and cast facts. Object and node IDs
-// are not compared. It gates both A/B axes: warm vs cold incremental
-// solves, and the optimized solver vs NoOpt.
+// the object table (as labels), the reachable-method set, per-variable
+// points-to sets (as allocation-site labels), the call graph, and cast
+// facts. Object and node IDs are not compared. It gates both A/B axes:
+// warm vs cold incremental solves, and the optimized solver vs NoOpt.
 func assertSameAnalysis(t *testing.T, tag string, prog *lang.Program, got, want *Result) {
 	t.Helper()
-	if g, w := got.NumReachableMethods(), want.NumReachableMethods(); g != w {
-		t.Fatalf("%s: reachable methods %d vs %d", tag, g, w)
+	for _, m := range prog.Methods {
+		if g, w := got.ReachableMethod(m), want.ReachableMethod(m); g != w {
+			t.Fatalf("%s: %s reachable %t vs %t", tag, m, g, w)
+		}
+	}
+	if g, w := csObjLabels(got), csObjLabels(want); !equalStrings(g, w) {
+		t.Fatalf("%s: object tables differ (%d vs %d objects): only in got %v, only in want %v",
+			tag, len(g), len(w), missingFrom(g, w), missingFrom(w, g))
 	}
 	for _, m := range prog.Methods {
 		for _, v := range m.Locals {
@@ -50,6 +58,27 @@ func assertSameAnalysis(t *testing.T, tag string, prog *lang.Program, got, want 
 			t.Fatalf("%s: cast %v incoming differ:\n got:  %v\n want: %v", tag, stmt, labels, wc[stmt])
 		}
 	}
+}
+
+// csObjLabels returns the labels of r's object table, sorted.
+func csObjLabels(r *Result) []string {
+	out := make([]string, 0, r.NumCSObjs())
+	for _, o := range r.CSObjs() {
+		out = append(out, o.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// missingFrom returns the labels of a that b lacks; both are sorted.
+func missingFrom(a, b []string) []string {
+	var out []string
+	for _, l := range a {
+		if i := sort.SearchStrings(b, l); i == len(b) || b[i] != l {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // incrementalSubjects returns the equivalence sweep's subjects: random
@@ -120,6 +149,61 @@ func TestIncrementalEquivalenceRandomEdits(t *testing.T) {
 			cur, curRes = next, warm
 		}
 	}
+}
+
+// TestIncrementalDropsObjectsOfUnreachableMethods pins a warm-path
+// defect: helper allocates o and loads o.f with no store, so the field
+// node of o.f is never tainted. When the edit drops helper's only call,
+// seeding that field node must not bring helper's object into the new
+// solve: the cold solve never allocates it.
+func TestIncrementalDropsObjectsOfUnreachableMethods(t *testing.T) {
+	const src = `
+class Box { field f: Box }
+class Main {
+  static method helper(): void {
+    var o: Box
+    var x: Box
+    o = new Box
+    x = o.f
+    return
+  }
+  static method main(): void {
+    var b: Box
+    b = new Box
+    %s
+    return
+  }
+}
+entry Main.main/0
+`
+	prog, err := parser.Parse("base.ir", fmt.Sprintf(src, "Main.helper()"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := parser.Parse("edit.ir", fmt.Sprintf(src, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Solve(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := delta.Compute(prog, next, delta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, st, err := SolveIncremental(next, Options{}, base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Used {
+		t.Fatalf("fell back to a cold solve: %s", st.Fallback)
+	}
+	cold, err := Solve(next, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnalysis(t, "drop helper call", next, warm, cold)
 }
 
 // TestIncrementalEquivalenceFallbacks checks that every ineligible

@@ -32,11 +32,10 @@ func (o *CSObj) String() string {
 }
 
 // Budget bounds an analysis run. Work is a deterministic propagation
-// counter (points-to facts processed); Time is an optional wall-clock
-// cap. A zero field means unlimited.
+// counter (points-to facts processed); zero means unlimited. Wall time
+// is bounded by the caller's context.
 type Budget struct {
 	Work int64
-	Time time.Duration
 }
 
 // ErrBudget is reported (wrapped) when a run exceeds its Budget.
@@ -217,8 +216,6 @@ type solver struct {
 	casts      []castSite
 	emptyHeap  *Context
 	work       int64
-	deadline   time.Time
-	hasTimeout bool
 	ctx        context.Context // nil when cancellation is not requested
 	meter      *budget.Meter   // nil when no resource budget is set
 	meterErr   error           // the exhaustion error behind errMeterSentinel
@@ -328,10 +325,6 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 	}
 	s.meter = opts.Meter
 	start := time.Now()
-	if opts.Budget.Time > 0 {
-		s.deadline = start.Add(opts.Budget.Time)
-		s.hasTimeout = true
-	}
 	if opts.seed != nil {
 		// Warm-start seeding: install retained facts below the fixpoint
 		// with no worklist entries, so the run converges by constraint
@@ -456,9 +449,6 @@ func (s *solver) chargeWork(units int64) {
 		panic(errMeterSentinel)
 	}
 	if s.work%4096 < units { // periodic checks, amortized over ~4096 units
-		if s.hasTimeout && time.Now().After(s.deadline) {
-			panic(errBudgetSentinel)
-		}
 		if s.ctx != nil && s.ctx.Err() != nil {
 			panic(errCancelSentinel)
 		}

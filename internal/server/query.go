@@ -52,8 +52,9 @@ type querySpec struct {
 type queryAnswer struct {
 	Job    string `json:"job"`
 	Source string `json:"source"` // full | cha | demand
-	// Complete reports whether the answer is exact: a demand solve that
-	// hit its work budget yields a sound but possibly smaller set.
+	// Complete reports whether the answer is exact. A demand solve that
+	// hit its work budget stops below the fixpoint: its sets are
+	// incomplete and may miss objects.
 	Complete bool     `json:"complete"`
 	Var      string   `json:"var,omitempty"`
 	Objects  []string `json:"objects,omitempty"`

@@ -574,8 +574,14 @@ func (s *Server) runJob(j *job) {
 	err := s.executeIsolated(ctx, j)
 	s.metrics.jobsRunning.Add(-1)
 
+	// The slow-job report goes out before the terminal state is
+	// published, so a client that sees the job finished finds it written.
+	finished := time.Now()
+	if elapsed := finished.Sub(j.started); s.cfg.SlowJob > 0 && elapsed >= s.cfg.SlowJob {
+		s.logSlowJob(j, elapsed)
+	}
 	j.mu.Lock()
-	j.finished = time.Now()
+	j.finished = finished
 	j.cancel = nil
 	switch {
 	case err == nil:
@@ -604,11 +610,7 @@ func (s *Server) runJob(j *job) {
 		j.errMsg = err.Error()
 		s.metrics.jobsFailed.Add(1)
 	}
-	elapsed := j.finished.Sub(j.started)
 	j.mu.Unlock()
-	if s.cfg.SlowJob > 0 && elapsed >= s.cfg.SlowJob {
-		s.logSlowJob(j, elapsed)
-	}
 }
 
 // logSlowJob dumps a slow job's span trees (one per attempt) to the

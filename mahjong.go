@@ -240,10 +240,9 @@ type Config struct {
 	Heap HeapKind
 	// Abstraction is the result of BuildAbstraction (HeapMahjong only).
 	Abstraction *Abstraction
-	// BudgetWork caps propagation work (0 = unlimited); BudgetTime caps
-	// wall-clock time. Exceeding either aborts with Report.Scalable=false.
+	// BudgetWork caps propagation work (0 = unlimited). Exceeding it
+	// aborts with Report.Scalable=false.
 	BudgetWork int64
-	BudgetTime time.Duration
 	// Resources caps what the run may consume (see ResourceBudget).
 	// Unlike BudgetWork's partial-result semantics, exhaustion is a hard
 	// failure: AnalyzeContext returns an error wrapping
@@ -312,7 +311,7 @@ func AnalyzeContext(ctx context.Context, p *Program, cfg Config) (*Report, error
 	r, err := pta.SolveContext(ctx, p, pta.Options{
 		Selector: sel,
 		Heap:     heap,
-		Budget:   pta.Budget{Work: cfg.BudgetWork, Time: cfg.BudgetTime},
+		Budget:   pta.Budget{Work: cfg.BudgetWork},
 		Meter:    budget.NewMeter(cfg.Resources),
 		Trace:    cfg.Trace,
 	})
