@@ -56,8 +56,9 @@ deltacheck: ## warm-vs-cold equivalence sweep for the incremental engine (docs/I
 	$(GO) test -count=1 ./internal/pta/ -run 'TestIncremental'
 	$(GO) test -count=1 ./internal/server/ -run 'TestDeltaJob|TestQuery'
 
-slowcheck: ## optimized-vs-naive solver A/B over every benchmark program
+slowcheck: ## over every benchmark program: optimized-vs-NoOpt solver A/B, and the solver against the independent reference fixpoint
 	MAHJONG_SLOWCHECK=1 $(GO) test ./internal/bench -run SolverEquivalence -v
+	MAHJONG_SLOWCHECK=1 $(GO) test ./internal/pta -run ReferenceSolver -v
 
 faultmatrix: ## fault-injection matrix + shutdown/degradation tests under the race detector
 	$(GO) test -race ./internal/server/ -run 'TestFaultMatrix|TestShutdown|TestDegraded' -v

@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Class is a class, interface or array type. Array types have Elem set
 // and a single instance pseudo-field named "[]".
@@ -28,7 +31,7 @@ type Sig struct {
 	Arity int
 }
 
-func (s Sig) String() string { return fmt.Sprintf("%s/%d", s.Name, s.Arity) }
+func (s Sig) String() string { return s.Name + "/" + strconv.Itoa(s.Arity) }
 
 func (c *Class) String() string { return c.Name }
 

@@ -42,6 +42,10 @@ func NewProgram() *Program {
 	return p
 }
 
+// NumInvokes returns the number of call sites created so far; Invoke
+// IDs lie below it.
+func (p *Program) NumInvokes() int { return p.invokeCount }
+
 // Object returns the root class of the hierarchy.
 func (p *Program) Object() *Class { return p.objectClass }
 

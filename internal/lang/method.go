@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Method is a method with an optional body (abstract methods have none).
 type Method struct {
@@ -25,7 +28,9 @@ type Method struct {
 // Sig returns the method's dispatch signature.
 func (m *Method) Sig() Sig { return Sig{Name: m.Name, Arity: len(m.Params)} }
 
-func (m *Method) String() string { return m.Owner.Name + "." + m.Sig().String() }
+func (m *Method) String() string {
+	return m.Owner.Name + "." + m.Name + "/" + strconv.Itoa(len(m.Params))
+}
 
 // NewVar declares a local variable in m.
 func (m *Method) NewVar(name string, typ *Class) *Var {
@@ -76,11 +81,15 @@ func (m *Method) AddAlloc(lhs *Var, typ *Class) *AllocSite {
 	if typ.IsInterface {
 		panic("lang: cannot allocate interface " + typ.Name)
 	}
+	id := len(m.prog.Sites)
 	site := &AllocSite{
-		ID:     len(m.prog.Sites),
+		ID:     id,
 		Type:   typ,
 		Method: m,
-		Label:  fmt.Sprintf("%s/new %s#%d", m.String(), typ.Name, len(m.prog.Sites)),
+		// Concatenated rather than formatted: a label is built for every
+		// site on every parse.
+		Label: m.Owner.Name + "." + m.Name + "/" + strconv.Itoa(len(m.Params)) +
+			"/new " + typ.Name + "#" + strconv.Itoa(id),
 	}
 	m.prog.Sites = append(m.prog.Sites, site)
 	m.addStmt(&Alloc{LHS: lhs, Site: site})

@@ -22,7 +22,8 @@ import (
 //     node whose points-to set could differ in the edited program: the
 //     locals of changed methods, everything downstream of a tainted
 //     node (copy/cast successors, loads through tainted bases, field
-//     nodes stored through tainted bases), and the This/Params/return/
+//     nodes stored through tainted bases or stored from tainted
+//     right-hand sides), and the This/Params/return/
 //     exception plumbing of every call edge whose caller changed or
 //     whose receiver is tainted. A method all of whose base in-call-
 //     edges are tainted may no longer be reachable, so it is treated
@@ -320,8 +321,8 @@ func (t *tainter) processDirty(m *lang.Method) {
 }
 
 // processNode propagates taint across everything derived from the
-// node's set: successor edges, loads and stores through it, and calls
-// dispatched on it.
+// node's set: successor edges, loads and stores through it, the field
+// nodes it is stored into (its store-outs), and calls dispatched on it.
 func (t *tainter) processNode(id int) {
 	n := &t.bs.nodes[id]
 	for _, e := range n.succ {
@@ -333,23 +334,31 @@ func (t *tainter) processNode(id int) {
 }
 
 func (t *tainter) taintInfo(info *varInfo, pts *bitset.Set) {
-	for _, ld := range info.loads {
-		t.markNode(ld.lhs)
-	}
-	for _, stn := range info.stores {
-		field := stn.field
-		pts.ForEach(func(obj int) bool {
-			if fid, ok := t.bs.lookupField(obj, field); ok {
-				t.markNode(fid)
-			}
-			return true
-		})
+	for _, fs := range info.sites {
+		switch fs.kind {
+		case siteLoad:
+			t.markNode(int(fs.node))
+		case siteStore:
+			t.markFields(pts, fs.field)
+		case siteStoreOut:
+			t.markFields(&t.bs.nodes[fs.node].pts, fs.field)
+		}
 	}
 	for _, inv := range info.invokes {
 		for _, k := range t.edgesOf(inv) {
 			t.taintEdge(k)
 		}
 	}
+}
+
+// markFields marks o.f for every object o of objs that has that node.
+func (t *tainter) markFields(objs *bitset.Set, f *lang.Field) {
+	objs.ForEach(func(obj int) bool {
+		if fid, ok := t.bs.lookupField(obj, f); ok {
+			t.markNode(fid)
+		}
+		return true
+	})
 }
 
 // taintEdge invalidates the facts one call edge installs: the callee's
@@ -456,9 +465,9 @@ type seeder struct {
 //  2. Every unchanged, non-dirty, base-reachable method is pre-marked
 //     reachable and its constraints are installed without replaying
 //     into frozen targets: statement edges are inserted, load/store/
-//     invoke sites registered, and field edges derived straight from
-//     the seeded receiver sets. Per-object work happens once per site,
-//     never per propagation.
+//     invoke sites and store-outs registered, and load edges and store
+//     facts derived straight from the seeded receiver sets. Per-object
+//     work happens once per site, never per propagation.
 //  3. The base call graph is replayed structurally: each untainted
 //     retained call edge is rewired to the edited program — callee
 //     reachability, argument/return/exception plumbing, call-graph
@@ -674,7 +683,7 @@ func (x *seeder) edge(from, to int, filter int32) {
 }
 
 // copyEdges translates the base solver's entire flow-edge structure —
-// statement edges and every object-derived load/store/call edge — by
+// statement edges and every object-derived load/call edge — by
 // renaming node ids, skipping the per-object re-derivation that
 // otherwise dominates a warm solve. Valid only for additive edits (no
 // base edge lost its derivation), and only when every base node found a
@@ -776,8 +785,9 @@ func (x *seeder) installMethods() error {
 // pushed into a frozen target. bst is the statement's base-program
 // counterpart (the bodies are positionally alike). In bulk mode every
 // edge this would insert — statement edges and per-object derivations
-// alike — was already copied wholesale, so only the side tables are
-// registered: load/store/invoke sites, cast sites.
+// alike — was already copied wholesale, and the seeded field nodes hold
+// every store's facts, so only the side tables are registered:
+// load/store/invoke sites, store-outs, cast sites.
 func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 	s := x.s
 	switch stmt := st.(type) {
@@ -810,29 +820,22 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 
 	case *lang.Load:
 		base := s.varNode(ctx, stmt.Base)
-		ls := loadSite{field: stmt.Field, lhs: s.varNode(ctx, stmt.LHS)}
-		s.nodes[base].info.loads = append(s.nodes[base].info.loads, ls)
-		if x.bulk {
-			return // field edges for the seeded receivers were copied
+		ld := fieldSite{field: stmt.Field, node: int32(s.varNode(ctx, stmt.LHS)), kind: siteLoad}
+		if !s.addSite(base, ld) || x.bulk {
+			return // in bulk mode the field edges of the seeded receivers were copied
 		}
-		if x.isFrozen(base) {
-			s.replayBase(base, func(obj int) { x.edge(s.fieldNode(obj, ls.field), ls.lhs, 0) })
-		} else {
-			s.replayBase(base, func(obj int) { s.applyLoad(obj, ls) })
-		}
+		s.replayBase(base, func(obj int) { x.edge(s.fieldNode(obj, ld.field), int(ld.node), 0) })
 
 	case *lang.Store:
-		base := s.varNode(ctx, stmt.Base)
-		ss := storeSite{field: stmt.Field, rhs: s.varNode(ctx, stmt.RHS)}
-		s.nodes[base].info.stores = append(s.nodes[base].info.stores, ss)
-		if x.bulk {
-			return // field edges for the seeded receivers were copied
+		base, st := s.addStore(ctx, stmt)
+		if base < 0 || x.bulk {
+			return // in bulk mode the seeded field nodes hold the store's facts
 		}
-		if x.isFrozen(base) {
-			s.replayBase(base, func(obj int) { x.edge(ss.rhs, s.fieldNode(obj, ss.field), 0) })
-		} else {
-			s.replayBase(base, func(obj int) { s.applyStore(obj, ss) })
-		}
+		s.replayBase(base, func(obj int) {
+			if f := s.fieldNode(obj, st.field); !x.isFrozen(f) {
+				s.addPts(f, &s.nodes[st.node].pts)
+			}
+		})
 
 	case *lang.StaticLoad:
 		if x.bulk {

@@ -448,12 +448,9 @@ type csCallKey struct {
 	caller, callee, edge int32
 }
 
-// site returns inv's record. The pointer is valid until the next site
-// call for a higher invoke ID.
+// site returns inv's record. The table is sized from the program's
+// invoke count when the solve starts.
 func (s *solver) site(inv *lang.Invoke) *callSite {
-	for inv.ID >= len(s.sites) {
-		s.sites = append(s.sites, callSite{})
-	}
 	cs := &s.sites[inv.ID]
 	if cs.inv == nil {
 		cs.inv = inv

@@ -85,8 +85,10 @@ const (
 	nStaticField
 )
 
-// edge is one flow edge. It holds no pointers, so successor lists are
-// memory the garbage collector does not scan.
+// edge is one flow edge: a copy, cast, catch, load, static-field or
+// call-wiring flow. A store is not an edge (see fieldSite). It holds no
+// pointers, so successor lists are memory the garbage collector does
+// not scan.
 type edge struct {
 	to int32
 	// filter is 0 for copy edges; a cast or catch edge holds its filter
@@ -125,27 +127,40 @@ type node struct {
 	info *varInfo
 }
 
-// loadSite / storeSite are load/store statements with their non-base
-// endpoints pre-resolved to node ids, so reacting to a points-to delta
-// costs no map lookups.
-type loadSite struct {
-	field *lang.Field
-	lhs   int
-}
+// siteKind tags a fieldSite.
+type siteKind uint8
 
-type storeSite struct {
+const (
+	// siteLoad is a load lhs = v.f: node is lhs, and each object o of v
+	// gets the edge o.f → lhs.
+	siteLoad siteKind = iota
+	// siteStore is a store v.f = rhs seen from its base: node is rhs, and
+	// each object o of v gets rhs's whole set in o.f.
+	siteStore
+	// siteStoreOut is the same store seen from its right-hand side (v is
+	// rhs): node is the base, and each delta of v flows into o.f for
+	// every object o of the base. No flow edge stands for it.
+	siteStoreOut
+)
+
+// fieldSite is one load or store registered on a variable node, with
+// its other variable pre-resolved to a node id, so reacting to a
+// points-to delta costs no map lookups.
+type fieldSite struct {
 	field *lang.Field
-	rhs   int
+	node  int32
+	kind  siteKind
 }
 
 // varInfo carries the statements that must react when the points-to set
-// of a variable grows: field accesses via the variable and calls
-// dispatched on it.
+// of a variable grows: field accesses through the variable, stores of
+// the variable, and calls dispatched on it. One tagged slice holds the
+// field sites so the struct stays in the 80-byte size class: one is
+// allocated per var node.
 type varInfo struct {
 	ctx     *Context
 	v       *lang.Var
-	loads   []loadSite
-	stores  []storeSite
+	sites   []fieldSite
 	invokes []*lang.Invoke
 	nextCS  int32 // the variable's next older non-empty-context node; -1 ends the chain
 }
@@ -305,6 +320,7 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 		csReach:    make(map[uint64]struct{}),
 		reached:    make([]bool, len(prog.Methods)),
 		csCalls:    make(map[csCallKey]struct{}),
+		sites:      make([]callSite, prog.NumInvokes()),
 	}
 	s.emptyHeap = s.ctxt.Empty()
 	// Size the node tables for one node per program variable, about what
@@ -420,7 +436,8 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		// Do not hold a *node across the calls below: processing may
 		// append to s.nodes and invalidate interior pointers. Edges
 		// appended to succ mid-loop are fine to miss — addEdge replays
-		// the full points-to set (delta included) across new edges.
+		// the full points-to set (delta included) across new edges, as
+		// applyStore does into the field nodes of a new store site.
 		succ := s.nodes[id].succ
 		for _, e := range succ {
 			s.addPts(int(e.to), s.filtered(delta, e.filter))
@@ -719,17 +736,16 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 
 	case *lang.Load:
 		base := s.varNode(ctx, stmt.Base)
-		ls := loadSite{field: stmt.Field, lhs: s.varNode(ctx, stmt.LHS)}
-		info := s.nodes[base].info
-		info.loads = append(info.loads, ls)
-		s.replayBase(base, func(obj int) { s.applyLoad(obj, ls) })
+		ld := fieldSite{field: stmt.Field, node: int32(s.varNode(ctx, stmt.LHS)), kind: siteLoad}
+		if s.addSite(base, ld) {
+			s.replayBase(base, func(obj int) { s.applyLoad(obj, ld) })
+		}
 
 	case *lang.Store:
-		base := s.varNode(ctx, stmt.Base)
-		ss := storeSite{field: stmt.Field, rhs: s.varNode(ctx, stmt.RHS)}
-		info := s.nodes[base].info
-		info.stores = append(info.stores, ss)
-		s.replayBase(base, func(obj int) { s.applyStore(obj, ss) })
+		base, st := s.addStore(ctx, stmt)
+		if base >= 0 {
+			s.replayBase(base, func(obj int) { s.applyStore(obj, st) })
+		}
 
 	case *lang.StaticLoad:
 		s.addEdge(s.staticNode(stmt.Field), s.varNode(ctx, stmt.LHS), 0)
@@ -784,15 +800,53 @@ func (s *solver) replayBase(base int, fn func(obj int)) {
 	s.releaseSet(snap)
 }
 
+// addSite registers fs on var node id; false when an identical site is
+// already there (a repeated statement), which then needs no replay.
+func (s *solver) addSite(id int, fs fieldSite) bool {
+	info := s.nodes[id].info
+	if slices.Contains(info.sites, fs) {
+		return false
+	}
+	info.sites = append(info.sites, fs)
+	return true
+}
+
+// addStore registers a store on its base and, as a store-out, on its
+// right-hand side. It returns the base node and the base's site, or -1
+// when the same store was already registered.
+func (s *solver) addStore(ctx *Context, stmt *lang.Store) (int, fieldSite) {
+	base := s.varNode(ctx, stmt.Base)
+	rhs := s.varNode(ctx, stmt.RHS)
+	st := fieldSite{field: stmt.Field, node: int32(rhs), kind: siteStore}
+	if !s.addSite(base, st) {
+		return -1, st
+	}
+	s.addSite(rhs, fieldSite{field: stmt.Field, node: int32(base), kind: siteStoreOut})
+	return base, st
+}
+
 // processVarDelta reacts to growth of a variable's points-to set.
 func (s *solver) processVarDelta(info *varInfo, delta *bitset.Set) {
+	perObj := len(info.invokes) > 0
+	for _, fs := range info.sites {
+		if fs.kind == siteStoreOut {
+			s.storeOut(fs, delta)
+		} else {
+			perObj = true
+		}
+	}
+	if !perObj {
+		return
+	}
 	ctx := info.ctx
 	delta.ForEach(func(obj int) bool {
-		for _, ld := range info.loads {
-			s.applyLoad(obj, ld)
-		}
-		for _, st := range info.stores {
-			s.applyStore(obj, st)
+		for _, fs := range info.sites {
+			switch fs.kind {
+			case siteLoad:
+				s.applyLoad(obj, fs)
+			case siteStore:
+				s.applyStore(obj, fs)
+			}
 		}
 		for _, inv := range info.invokes {
 			s.applyInvoke(ctx, obj, inv)
@@ -801,12 +855,29 @@ func (s *solver) processVarDelta(info *varInfo, delta *bitset.Set) {
 	})
 }
 
-func (s *solver) applyLoad(obj int, ld loadSite) {
-	s.addEdge(s.fieldNode(obj, ld.field), ld.lhs, 0)
+func (s *solver) applyLoad(obj int, ld fieldSite) {
+	s.addEdge(s.fieldNode(obj, ld.field), int(ld.node), 0)
 }
 
-func (s *solver) applyStore(obj int, st storeSite) {
-	s.addEdge(st.rhs, s.fieldNode(obj, st.field), 0)
+// applyStore makes obj.f hold the store's whole right-hand side; the
+// right-hand side's later deltas arrive through its store-out.
+func (s *solver) applyStore(obj int, st fieldSite) {
+	f := s.fieldNode(obj, st.field)
+	s.addPts(f, &s.nodes[st.node].pts)
+}
+
+// storeOut carries a delta of a store's right-hand side into o.f for
+// every object o of the store's base. A field node that does not exist
+// yet is skipped: o is then still in the base's pending delta, and the
+// applyStore that creates o.f unions the whole right-hand side.
+func (s *solver) storeOut(out fieldSite, delta *bitset.Set) {
+	base := s.nodes[out.node].pts
+	base.ForEach(func(obj int) bool {
+		if f, ok := s.lookupField(obj, out.field); ok {
+			s.addPts(f, delta)
+		}
+		return true
+	})
 }
 
 // applyInvoke dispatches inv on receiver object obj and wires the call

@@ -7,9 +7,12 @@ package pta
 type Stats struct {
 	// Nodes is the number of pointer nodes created.
 	Nodes int `json:"nodes"`
-	// Edges is the number of distinct flow edges inserted.
+	// Edges is the number of distinct flow edges inserted. A store's
+	// flow into field nodes is not an edge: it is a site on the store's
+	// base and right-hand side variables, so stores add nothing here.
 	Edges int `json:"edges"`
-	// CopyEdges is the filter-free subset of Edges.
+	// CopyEdges is the filter-free subset of Edges (copies, loads,
+	// static-field and call-wiring flows; not stores).
 	CopyEdges int `json:"copy_edges"`
 	// CollapsedNodes is always 0: the solver folds no nodes. It remains
 	// only because the benchmark report still reads it.
