@@ -56,8 +56,7 @@ deltacheck: ## warm-vs-cold equivalence sweep for the incremental engine (docs/I
 	$(GO) test -count=1 ./internal/pta/ -run 'TestIncremental'
 	$(GO) test -count=1 ./internal/server/ -run 'TestDeltaJob|TestQuery'
 
-slowcheck: ## over every benchmark program: optimized-vs-NoOpt solver A/B, and the solver against the independent reference fixpoint
-	MAHJONG_SLOWCHECK=1 $(GO) test ./internal/bench -run SolverEquivalence -v
+slowcheck: ## the solver against the independent reference fixpoint, over every benchmark program
 	MAHJONG_SLOWCHECK=1 $(GO) test ./internal/pta -run ReferenceSolver -v
 
 faultmatrix: ## fault-injection matrix + shutdown/degradation tests under the race detector

@@ -1,14 +1,14 @@
 package mahjong
 
 // Incremental analysis facade: BuildAbstractionDelta reruns the Figure 5
-// pipeline after an edit, reusing a retained DeltaState wherever the
-// edit left the inputs unchanged — the pre-analysis is warm-seeded from
-// the base solver (internal/pta.SolveIncrementalContext) and the heap
-// modeler replays the base partition for type groups whose FPG
-// fragments are untouched (internal/core merge reuse). Every reuse
-// layer degrades independently: an ineligible or fault-injected delta
-// falls back to the cold path with a recorded reason, never an error
-// the cold path would not also have produced.
+// pipeline after an edit, warm-seeding the pre-analysis from a retained
+// DeltaState's solver (internal/pta.SolveIncrementalContext). FPG
+// construction and the heap modeler then run exactly as in a cold
+// build: the modeler is cheap next to the pre-analysis, so its merge
+// decisions are recomputed rather than replayed. An ineligible or
+// fault-injected delta falls back to the cold pre-analysis with a
+// recorded reason, never an error the cold path would not also have
+// produced.
 
 import (
 	"context"
@@ -22,18 +22,19 @@ import (
 	"mahjong/internal/pta"
 )
 
-// DeltaState retains, from one abstraction build, everything a later
-// incremental build replays: the analyzed program, its pre-analysis
-// result, and the built abstraction (whose merge decisions are captured
-// for reuse). Treat it as opaque and immutable; it is safe to share
-// between concurrent BuildAbstractionDelta calls.
+// DeltaState retains, from one abstraction build, what a later
+// incremental build starts from: the analyzed program and its
+// pre-analysis result, plus the abstraction built from them. Treat it
+// as opaque and immutable; it is safe to share between concurrent
+// BuildAbstractionDelta calls.
 type DeltaState struct {
 	// Prog is the program the state was built from — the diff base of
 	// the next incremental build.
 	Prog *Program
 	// Pre is the retained pre-analysis solver state.
 	Pre *pta.Result
-	// Abs is the abstraction built from Pre.
+	// Abs is the abstraction built from Pre. An incremental build does
+	// not read it: the heap modeler re-merges from scratch.
 	Abs *Abstraction
 }
 
@@ -51,9 +52,6 @@ type IncrementalOutcome struct {
 	TotalMethods, ChangedMethods int
 	// SeededFacts counts points-to facts installed from the base solver.
 	SeededFacts int64
-	// ReusedGroups and RemergedGroups split the heap modeler's type
-	// groups between replayed-from-base and merged-from-scratch.
-	ReusedGroups, RemergedGroups int
 }
 
 // BuildAbstractionDelta is BuildAbstractionContext against a retained
@@ -67,8 +65,7 @@ type IncrementalOutcome struct {
 func BuildAbstractionDelta(ctx context.Context, p *Program, opts AbstractionOptions, base *DeltaState) (*Abstraction, *DeltaState, *IncrementalOutcome, error) {
 	out := &IncrementalOutcome{}
 	var d *delta.Diff
-	var reuse *core.ReuseState
-	if base == nil || base.Prog == nil || base.Pre == nil || base.Abs == nil {
+	if base == nil || base.Prog == nil || base.Pre == nil {
 		out.Fallback = "no base state"
 	} else {
 		var err error
@@ -82,17 +79,13 @@ func BuildAbstractionDelta(ctx context.Context, p *Program, opts AbstractionOpti
 			out.TotalMethods = d.TotalMethods
 			out.ChangedMethods = len(d.Changed)
 		}
-		// Merge reuse is keyed by structural fingerprints that are valid
-		// regardless of diff eligibility, so it rides along even when the
-		// pre-analysis falls back.
-		reuse = base.Abs.reuseState()
 	}
 
 	var basePre *pta.Result
 	if d != nil {
 		basePre = base.Pre
 	}
-	abs, pre, st, err := buildPipeline(ctx, p, opts, basePre, d, reuse, true)
+	abs, pre, st, err := buildPipeline(ctx, p, opts, basePre, d)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -103,26 +96,14 @@ func BuildAbstractionDelta(ctx context.Context, p *Program, opts AbstractionOpti
 		}
 		out.SeededFacts = st.SeededFacts
 	}
-	out.ReusedGroups = abs.res.ReusedGroups
-	out.RemergedGroups = abs.res.RemergedGroups
 	next := &DeltaState{Prog: p, Pre: pre, Abs: abs}
 	return abs, next, out, nil
 }
 
-// reuseState unwraps the captured merge decisions, surviving
-// abstractions loaded from disk (which have none).
-func (a *Abstraction) reuseState() *core.ReuseState {
-	if a == nil || a.res == nil {
-		return nil
-	}
-	return a.res.ReuseState
-}
-
 // buildPipeline runs pre-analysis → FPG → heap modeler. When basePre
 // and d are non-nil the pre-analysis is attempted incrementally (it
-// falls back internally when ineligible); reuse and capture configure
-// the heap modeler's merge reuse.
-func buildPipeline(ctx context.Context, p *Program, opts AbstractionOptions, basePre *pta.Result, d *delta.Diff, reuse *core.ReuseState, capture bool) (*Abstraction, *pta.Result, *pta.IncrementalStats, error) {
+// falls back internally when ineligible).
+func buildPipeline(ctx context.Context, p *Program, opts AbstractionOptions, basePre *pta.Result, d *delta.Diff) (*Abstraction, *pta.Result, *pta.IncrementalStats, error) {
 	// One meter for the whole pipeline: a greedy pre-analysis leaves less
 	// budget for FPG construction and modeling, bounding the job's total
 	// resource use rather than each stage's.
@@ -168,11 +149,9 @@ func buildPipeline(ctx context.Context, p *Program, opts AbstractionOptions, bas
 		policy = core.RepTypeDiverse
 	}
 	res, err := core.BuildContext(ctx, g, core.Options{
-		Policy:       policy,
-		Meter:        meter,
-		Trace:        opts.Trace,
-		Reuse:        reuse,
-		CaptureReuse: capture,
+		Policy: policy,
+		Meter:  meter,
+		Trace:  opts.Trace,
 	})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("mahjong: heap modeling: %w", err)

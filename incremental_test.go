@@ -93,9 +93,8 @@ func TestIncrementalFacadeEquivalence(t *testing.T) {
 			t.Fatalf("step %d (%s): client metrics differ:\nwarm %+v\ncold %+v",
 				step, desc, warmRep.Metrics, coldRep.Metrics)
 		}
-		t.Logf("step %d (%s): changed=%d/%d seeded=%d facts, groups reused=%d remerged=%d",
-			step, desc, out.ChangedMethods, out.TotalMethods, out.SeededFacts,
-			out.ReusedGroups, out.RemergedGroups)
+		t.Logf("step %d (%s): changed=%d/%d seeded=%d facts",
+			step, desc, out.ChangedMethods, out.TotalMethods, out.SeededFacts)
 		cur, state = next, nextState
 	}
 }

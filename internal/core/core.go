@@ -66,6 +66,11 @@ type Options struct {
 	// MOM is unaffected — a matching fingerprint implies the same merge
 	// decisions — but DFAStates/SumDFAStates then count only the
 	// re-merged groups.
+	//
+	// No production path sets Reuse or CaptureReuse: fingerprinting a
+	// build's groups costs more than re-merging them, so incremental
+	// builds re-merge like cold ones. Both remain only for the
+	// benchmark's edit-loop replica, which still compiles against them.
 	Reuse *ReuseState
 	// CaptureReuse attaches a ReuseState to the Result for a later
 	// build's Options.Reuse.

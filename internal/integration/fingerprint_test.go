@@ -3,11 +3,11 @@ package integration
 // Golden solver fingerprints: for the twelve benchmark subjects and the
 // committed adversarial corpus, the pre-analysis, the FPG, the heap
 // modeler and a context-sensitive main solve must reproduce the recorded
-// sizes and output hashes exactly. The solver's NoOpt A/B axis shares
-// its node and object tables, so a layout bug in those tables would
-// pass every A/B comparison; these fingerprints were recorded from an
-// independent earlier implementation and pin the results themselves. Regenerate (only for an intended result change)
-// with
+// sizes and output hashes exactly. The warm-vs-cold incremental A/B
+// axis shares the solver's node and object tables, so a layout bug in
+// those tables would pass it; these fingerprints were recorded from an
+// independent earlier implementation and pin the results themselves.
+// Regenerate (only for an intended result change) with
 //
 //	go test ./internal/integration -run TestSolverFingerprints -update-fingerprints
 

@@ -18,8 +18,8 @@ import (
 // object agree on every fact, compared through shared lang identities:
 // the object table (as labels), the reachable-method set, per-variable
 // points-to sets (as allocation-site labels), the call graph, and cast
-// facts. Object and node IDs are not compared. It gates both A/B axes:
-// warm vs cold incremental solves, and the optimized solver vs NoOpt.
+// facts. Object and node IDs are not compared. It gates the warm vs
+// cold incremental A/B axis.
 func assertSameAnalysis(t *testing.T, tag string, prog *lang.Program, got, want *Result) {
 	t.Helper()
 	for _, m := range prog.Methods {
@@ -111,8 +111,9 @@ func incrementalSubjects(t *testing.T) []struct {
 // TestIncrementalEquivalenceRandomEdits is the A/B gate: chains of
 // random body-only edits, each step solved warm (seeded from the
 // previous step's result — itself possibly warm) and cold, must agree
-// exactly. This is the incremental analogue of
-// TestOptimizedSolverEquivalence.
+// exactly. Its edits rarely taint a store's right-hand side while
+// leaving the base untainted; TestIncrementalStoreRHSRandomEdits sweeps
+// that case.
 func TestIncrementalEquivalenceRandomEdits(t *testing.T) {
 	const steps = 5
 	for _, sub := range incrementalSubjects(t) {

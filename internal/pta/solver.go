@@ -56,12 +56,6 @@ type Options struct {
 	// across pipeline stages so one job draws on one budget.
 	Meter *budget.Meter
 
-	// NoOpt disables the solver's class-indexed filter masks and falls
-	// back to testing each filtered object's type. Results are
-	// identical, only slower; the flag exists for A/B equivalence tests
-	// and ablation benchmarks.
-	NoOpt bool
-
 	// Trace, when enabled, records a "pta.solve" span for the run
 	// carrying the Stats counters as span deltas. The zero Ctx disables
 	// tracing at no cost.
@@ -534,17 +528,6 @@ func (s *solver) mask(f int32) *bitset.Set {
 func (s *solver) filtered(delta *bitset.Set, f int32) *bitset.Set {
 	if f == 0 {
 		return delta //lint:allow bitsetalias documented borrow passthrough: the result aliases an input the caller already borrows and must be consumed before the next filtered call
-	}
-	if s.opts.NoOpt {
-		filter := s.prog.Classes[f-1]
-		out := bitset.New(0)
-		delta.ForEach(func(i int) bool {
-			if s.csobjs[i].Obj.Type.SubtypeOf(filter) {
-				out.Add(i)
-			}
-			return true
-		})
-		return out
 	}
 	s.stats.FilterMaskHits++
 	return bitset.IntersectInto(&s.scratch, delta, s.mask(f))

@@ -2,6 +2,7 @@ package pta
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -57,8 +58,9 @@ func mainVar(t *testing.T, prog *lang.Program, name string) *lang.Var {
 	return nil
 }
 
-// fieldFacts renders FieldPointsTo as "base.field -> targets" lines,
-// with objects named by their site index.
+// fieldFacts renders FieldPointsTo as sorted "base.field -> targets"
+// lines, with objects named by their site index and targets sorted, so
+// results that intern objects in different orders compare equal.
 func fieldFacts(r *Result) []string {
 	var out []string
 	r.FieldPointsTo(func(base *Obj, f *lang.Field, targets []*Obj) {
@@ -66,8 +68,10 @@ func fieldFacts(r *Result) []string {
 		for _, o := range targets {
 			ts = append(ts, o.Rep.Type.Name+fmt.Sprint(o.Rep.ID))
 		}
+		slices.Sort(ts)
 		out = append(out, fmt.Sprintf("%s%d.%s -> %v", base.Rep.Type.Name, base.Rep.ID, f.Name, ts))
 	})
+	slices.Sort(out)
 	return out
 }
 
@@ -249,5 +253,183 @@ entry Main.main/0
 	assertSameAnalysis(t, "store rhs tainted", next, warm, cold)
 	if g, w := fieldFacts(warm), fieldFacts(cold); !slices.Equal(g, w) {
 		t.Fatalf("field facts warm %q, cold %q", g, w)
+	}
+}
+
+// storeRHSProgram is a random program shaped so that editing one of its
+// pick methods taints the right-hand side of stores whose bases stay
+// untainted: every pick returns one of its parameters (ret[i] says
+// which), main feeds pick results into stores through bases it
+// allocates itself or that an unchanged put method allocates, and loads
+// the fields back. Loaded values feed later picks, so a stale field set
+// spreads. Every object is allocated in an unchanged method, so every
+// base's field set is translatable.
+type storeRHSProgram struct {
+	fields, classes, arity int
+	ret                    []int // by pick: the parameter it returns
+	calls                  []storeRHSCall
+}
+
+// storeRHSCall is main's s-th pick call: ys = pick(args...), stored
+// into rs.f<field> (rs local, or allocated by put<field>), and loaded
+// back as zs = rs.f<load>.
+type storeRHSCall struct {
+	pick, field, load int
+	viaPut            bool
+	args              []string
+}
+
+func randomStoreRHSProgram(rng *rand.Rand) *storeRHSProgram {
+	p := &storeRHSProgram{fields: 1 + rng.Intn(3), classes: 2 + rng.Intn(3), arity: 2 + rng.Intn(2)}
+	p.ret = make([]int, 1+rng.Intn(3))
+	for i := range p.ret {
+		p.ret[i] = rng.Intn(p.arity)
+	}
+	n := len(p.ret) + rng.Intn(5)
+	for s := 0; s < n; s++ {
+		pick := s % len(p.ret) // the first calls reach every pick once
+		if s >= len(p.ret) {
+			pick = rng.Intn(len(p.ret))
+		}
+		call := storeRHSCall{pick: pick, field: rng.Intn(p.fields), load: rng.Intn(p.fields), viaPut: rng.Intn(2) == 0}
+		for a := 0; a < p.arity; a++ {
+			if s > 0 && rng.Intn(3) == 0 {
+				call.args = append(call.args, fmt.Sprintf("z%d", rng.Intn(s)))
+			} else {
+				call.args = append(call.args, fmt.Sprintf("c%d", rng.Intn(p.classes)))
+			}
+		}
+		p.calls = append(p.calls, call)
+	}
+	return p
+}
+
+// edit makes one pick return a different parameter.
+func (p *storeRHSProgram) edit(rng *rand.Rand) string {
+	i := rng.Intn(len(p.ret))
+	old := p.ret[i]
+	p.ret[i] = (old + 1 + rng.Intn(p.arity-1)) % p.arity
+	return fmt.Sprintf("pick%d returns p%d, not p%d", i, p.ret[i], old)
+}
+
+func (p *storeRHSProgram) source() string {
+	var b strings.Builder
+	b.WriteString("class Box {")
+	for f := 0; f < p.fields; f++ {
+		fmt.Fprintf(&b, " field f%d: java.lang.Object", f)
+	}
+	b.WriteString(" }\n")
+	for c := 0; c < p.classes; c++ {
+		fmt.Fprintf(&b, "class C%d { }\n", c)
+	}
+	b.WriteString("class Main {\n")
+	var params []string
+	for a := 0; a < p.arity; a++ {
+		params = append(params, fmt.Sprintf("p%d: java.lang.Object", a))
+	}
+	for i, r := range p.ret {
+		fmt.Fprintf(&b, "  static method pick%d(%s): java.lang.Object {\n    return p%d\n  }\n", i, strings.Join(params, ", "), r)
+	}
+	for f := 0; f < p.fields; f++ {
+		fmt.Fprintf(&b, "  static method put%d(v: java.lang.Object): Box {\n    var box: Box\n    box = new Box\n    box.f%d = v\n    return box\n  }\n", f, f)
+	}
+	b.WriteString("  static method main(): void {\n")
+	for c := 0; c < p.classes; c++ {
+		fmt.Fprintf(&b, "    var c%d: C%d\n", c, c)
+	}
+	for s := range p.calls {
+		fmt.Fprintf(&b, "    var y%d: java.lang.Object\n    var r%d: Box\n    var z%d: java.lang.Object\n", s, s, s)
+	}
+	for c := 0; c < p.classes; c++ {
+		fmt.Fprintf(&b, "    c%d = new C%d\n", c, c)
+	}
+	for s, call := range p.calls {
+		fmt.Fprintf(&b, "    y%d = Main.pick%d(%s)\n", s, call.pick, strings.Join(call.args, ", "))
+		if call.viaPut {
+			fmt.Fprintf(&b, "    r%d = Main.put%d(y%d)\n", s, call.field, s)
+		} else {
+			fmt.Fprintf(&b, "    r%d = new Box\n    r%d.f%d = y%d\n", s, s, call.field, s)
+		}
+		fmt.Fprintf(&b, "    z%d = r%d.f%d\n", s, s, call.load)
+	}
+	b.WriteString("    return\n  }\n}\nentry Main.main/0\n")
+	return b.String()
+}
+
+// rhsTaintedStores counts the base solver's stores whose right-hand
+// side the edit taints while their base keeps a non-empty, untainted
+// set: the stores only the tainter's store-out rule invalidates.
+func rhsTaintedStores(base *Result, d *delta.Diff) int {
+	tn := newTainter(base.solver, d)
+	tn.run()
+	n := 0
+	for id := range base.solver.nodes {
+		info := base.solver.nodes[id].info
+		if info == nil || !tn.tainted[id] {
+			continue
+		}
+		for _, fs := range info.sites {
+			if b := int(fs.node); fs.kind == siteStoreOut && !tn.tainted[b] && !base.solver.nodes[b].pts.IsEmpty() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestIncrementalStoreRHSRandomEdits is the randomized sweep behind
+// TestIncrementalStoreRHSTaintedBaseNot: chains of pick edits over
+// random storeRHSPrograms, each step solved warm from the previous
+// step's (warm) result and cold, must agree on every fact, field facts
+// included. Each step checks that it exercises the case: some store's
+// right-hand side is tainted while its base is not.
+func TestIncrementalStoreRHSRandomEdits(t *testing.T) {
+	const programs, steps = 30, 4
+	rng := rand.New(rand.NewSource(11)) //nolint:gosec // deterministic test sweep
+	for pi := 0; pi < programs; pi++ {
+		sp := randomStoreRHSProgram(rng)
+		cur, err := parser.Parse("base.ir", sp.source())
+		if err != nil {
+			t.Fatalf("program %d: %v\n%s", pi, err, sp.source())
+		}
+		curRes, err := Solve(cur, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			desc := sp.edit(rng)
+			tag := fmt.Sprintf("program %d step %d (%s)", pi, i, desc)
+			next, err := parser.Parse("edit.ir", sp.source())
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			d, err := delta.Compute(cur, next, delta.Options{})
+			if err != nil {
+				t.Fatalf("%s: diff: %v", tag, err)
+			}
+			if !d.BodyOnly || d.Additive || len(d.Changed) != 1 {
+				t.Fatalf("%s: BodyOnly=%t Additive=%t changed=%d, want one non-additive body change",
+					tag, d.BodyOnly, d.Additive, len(d.Changed))
+			}
+			if rhsTaintedStores(curRes, d) == 0 {
+				t.Fatalf("%s: no store has a tainted right-hand side and an untainted base\n%s", tag, sp.source())
+			}
+			warm, st, err := SolveIncremental(next, Options{}, curRes, d)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if !st.Used {
+				t.Fatalf("%s: fell back to a cold solve: %s", tag, st.Fallback)
+			}
+			cold, err := Solve(next, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnalysis(t, tag, next, warm, cold)
+			if g, w := fieldFacts(warm), fieldFacts(cold); !slices.Equal(g, w) {
+				t.Fatalf("%s: field facts warm %q, cold %q\n%s", tag, g, w, sp.source())
+			}
+			cur, curRes = next, warm
+		}
 	}
 }

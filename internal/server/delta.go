@@ -11,7 +11,7 @@ import (
 // keyed by job ID, so a later submission can name one as base_job_id
 // and solve incrementally against it. States are heavyweight — each
 // holds the analyzed program, the saturated pre-analysis solver, and
-// the captured merge decisions — so the store is a small LRU rather
+// the abstraction built from it — so the store is a small LRU rather
 // than unbounded history: an evicted base silently demotes the delta
 // job to a from-scratch build, which is always correct.
 type deltaStore struct {

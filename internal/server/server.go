@@ -82,7 +82,7 @@ type Config struct {
 	// DeltaStates caps how many completed jobs keep their analysis state
 	// retained for incremental (base_job_id) resubmissions; 0 = 4,
 	// negative = unbounded. States are heavyweight (program + saturated
-	// pre-analysis + merge decisions), so the default is small.
+	// pre-analysis + abstraction), so the default is small.
 	DeltaStates int
 	// QueryBudget caps the propagation work of the demand solve behind
 	// POST /jobs/{id}/query; 0 = 200k units, negative = unlimited.

@@ -227,7 +227,7 @@ func BuildAbstraction(p *Program, opts AbstractionOptions) (*Abstraction, error)
 // context aborts with an error wrapping context.Canceled or
 // context.DeadlineExceeded.
 func BuildAbstractionContext(ctx context.Context, p *Program, opts AbstractionOptions) (*Abstraction, error) {
-	abs, _, _, err := buildPipeline(ctx, p, opts, nil, nil, nil, false)
+	abs, _, _, err := buildPipeline(ctx, p, opts, nil, nil)
 	return abs, err
 }
 
