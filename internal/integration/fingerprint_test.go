@@ -7,9 +7,12 @@ package integration
 // axis shares the solver's node and object tables, so a layout bug in
 // those tables would pass it; these fingerprints were recorded from an
 // independent earlier implementation and pin the results themselves.
+// TestContextSensitiveFingerprints pins alloc-site 3obj, 2type and 2cs
+// solves the same way, over three subjects and the corpus: they exercise
+// the solver's per-context node tables and context derivation.
 // Regenerate (only for an intended result change) with
 //
-//	go test ./internal/integration -run TestSolverFingerprints -update-fingerprints
+//	go test ./internal/integration -run Fingerprints -update-fingerprints
 
 import (
 	"crypto/sha256"
@@ -32,9 +35,12 @@ import (
 	"mahjong/internal/scenario"
 )
 
-var updateFingerprints = flag.Bool("update-fingerprints", false, "rewrite testdata/fingerprints.json from the current run")
+var updateFingerprints = flag.Bool("update-fingerprints", false, "rewrite the fingerprint golden files from the current run")
 
-const fingerprintFile = "testdata/fingerprints.json"
+const (
+	fingerprintFile   = "testdata/fingerprints.json"
+	csFingerprintFile = "testdata/cs_fingerprints.json"
+)
 
 // solveFingerprint pins one solver run.
 type solveFingerprint struct {
@@ -173,26 +179,72 @@ func TestSolverFingerprints(t *testing.T) {
 	for name, prog := range progs {
 		got[name] = fingerprintProgram(t, prog)
 	}
+	checkFingerprints(t, fingerprintFile, got)
+}
+
+// csFingerprint pins the context-sensitive alloc-site solves of one
+// program.
+type csFingerprint struct {
+	Obj3  solveFingerprint `json:"alloc_3obj"`
+	Type2 solveFingerprint `json:"alloc_2type"`
+	CS2   solveFingerprint `json:"alloc_2cs"`
+}
+
+func TestContextSensitiveFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("context-sensitive solves over three subjects and the corpus")
+	}
+	progs := fingerprintPrograms(t)
+	got := make(map[string]csFingerprint)
+	for name, prog := range progs {
+		switch name {
+		case "luindex", "lusearch", "antlr":
+		default:
+			if !strings.HasPrefix(name, "corpus/") {
+				continue
+			}
+		}
+		solve := func(sel pta.Selector) solveFingerprint {
+			r, err := pta.Solve(prog, pta.Options{Selector: sel})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, sel.Name(), err)
+			}
+			fp, _ := fingerprintSolve(r)
+			return fp
+		}
+		got[name] = csFingerprint{
+			Obj3:  solve(pta.KObj{K: 3}),
+			Type2: solve(pta.KType{K: 2}),
+			CS2:   solve(pta.KCFA{K: 2}),
+		}
+	}
+	checkFingerprints(t, csFingerprintFile, got)
+}
+
+// checkFingerprints compares got with the golden file, or rewrites the
+// file under -update-fingerprints.
+func checkFingerprints[F comparable](t *testing.T, file string, got map[string]F) {
+	t.Helper()
 	if *updateFingerprints {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fingerprintFile, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	buf, err := os.ReadFile(filepath.Clean(fingerprintFile))
+	buf, err := os.ReadFile(filepath.Clean(file))
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update-fingerprints)", err)
 	}
-	var want map[string]programFingerprint
+	var want map[string]F
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("fingerprint file has %d programs, run has %d", len(want), len(got))
+		t.Errorf("%s has %d programs, run has %d", file, len(want), len(got))
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

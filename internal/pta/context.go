@@ -98,15 +98,15 @@ func (t *ContextTable) Push(ctx *Context, elem any, k int) *Context {
 	if k <= 0 {
 		return t.empty
 	}
-	kept := newestElems(ctx, k-1) // oldest first
-	out := t.empty
-	for _, e := range kept {
-		out = t.append1(out, e)
+	if ctx == nil {
+		ctx = t.empty
 	}
-	return t.append1(out, elem)
+	return t.append1(t.Truncate(ctx, k-1), elem)
 }
 
-// Truncate returns the context holding only the newest k elements of ctx.
+// Truncate returns the context holding only the newest k elements of
+// ctx. It re-derives them oldest first through the parent chain, so it
+// allocates nothing when the result is already interned.
 func (t *ContextTable) Truncate(ctx *Context, k int) *Context {
 	if k <= 0 {
 		return t.empty
@@ -114,23 +114,5 @@ func (t *ContextTable) Truncate(ctx *Context, k int) *Context {
 	if ctx.Depth() <= k {
 		return ctx
 	}
-	out := t.empty
-	for _, e := range newestElems(ctx, k) {
-		out = t.append1(out, e)
-	}
-	return out
-}
-
-// newestElems returns the newest min(k, depth) elements of ctx,
-// oldest first.
-func newestElems(ctx *Context, k int) []any {
-	if k > ctx.Depth() {
-		k = ctx.Depth()
-	}
-	out := make([]any, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = ctx.elem
-		ctx = ctx.parent
-	}
-	return out
+	return t.append1(t.Truncate(ctx.parent, k-1), ctx.elem)
 }

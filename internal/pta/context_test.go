@@ -125,3 +125,30 @@ func TestQuickPushKeepsNewestK(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPushAllocFree: re-deriving a context that is already interned,
+// by Push or by Truncate, allocates nothing.
+func TestPushAllocFree(t *testing.T) {
+	tbl := NewContextTable()
+	es := []*int{new(int), new(int), new(int), new(int)}
+	c := tbl.Empty()
+	for _, e := range es {
+		c = tbl.Push(c, e, 4)
+	}
+	elem := new(int)
+	for k := 1; k <= 3; k++ {
+		want := tbl.Push(c, elem, k)
+		trunc := tbl.Truncate(c, k)
+		if want.Depth() != k || trunc.Depth() != k {
+			t.Fatalf("k=%d: Push depth %d, Truncate depth %d", k, want.Depth(), trunc.Depth())
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if tbl.Push(c, elem, k) != want || tbl.Truncate(c, k) != trunc {
+				t.Fatal("re-derived context not interned to the same pointer")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: %v allocations per re-derivation, want 0", k, allocs)
+		}
+	}
+}

@@ -97,7 +97,7 @@ func SolveIncrementalContext(ctx context.Context, prog *lang.Program, opts Optio
 	defer failure.Recover(faultinject.StageSeed, &err)
 	stats = &IncrementalStats{}
 	if base != nil && base.solver != nil {
-		stats.BaseNodes = len(base.solver.nodes)
+		stats.BaseNodes = base.solver.nodes.len()
 	}
 	if d != nil {
 		stats.TotalMethods = d.TotalMethods
@@ -196,7 +196,7 @@ func prepareSeed(opts Options, base *Result, d *delta.Diff, st *IncrementalStats
 	}
 	st.TaintedNodes = t.count
 	st.DirtyMethods = t.numDirty
-	sp.Add("base_nodes", int64(len(base.solver.nodes)))
+	sp.Add("base_nodes", int64(base.solver.nodes.len()))
 	sp.Add("tainted_nodes", int64(t.count))
 	sp.Add("changed_methods", int64(len(d.Changed)))
 	sp.Add("dirty_methods", int64(t.numDirty))
@@ -240,7 +240,7 @@ func newTainter(bs *solver, d *delta.Diff) *tainter {
 	t := &tainter{
 		bs:          bs,
 		d:           d,
-		tainted:     make([]bool, len(bs.nodes)),
+		tainted:     make([]bool, bs.nodes.len()),
 		dirty:       make([]bool, nm),
 		byCaller:    make([][]ciEdge, nm),
 		byInv:       make([][]ciEdge, len(bs.sites)),
@@ -324,12 +324,12 @@ func (t *tainter) processDirty(m *lang.Method) {
 // node's set: successor edges, loads and stores through it, the field
 // nodes it is stored into (its store-outs), and calls dispatched on it.
 func (t *tainter) processNode(id int) {
-	n := &t.bs.nodes[id]
+	n := t.bs.nodes.at(id)
 	for _, e := range n.succ {
 		t.markNode(int(e.to))
 	}
-	if info := t.bs.nodes[id].info; info != nil {
-		t.taintInfo(info, &n.pts)
+	if n.info != nil {
+		t.taintInfo(n.info, &n.pts)
 	}
 }
 
@@ -341,7 +341,7 @@ func (t *tainter) taintInfo(info *varInfo, pts *bitset.Set) {
 		case siteStore:
 			t.markFields(pts, fs.field)
 		case siteStoreOut:
-			t.markFields(&t.bs.nodes[fs.node].pts, fs.field)
+			t.markFields(&t.bs.nodes.at(int(fs.node)).pts, fs.field)
 		}
 	}
 	for _, inv := range info.invokes {
@@ -499,8 +499,8 @@ func seedSolver(s, bs *solver, d *delta.Diff, t *tainter, st *IncrementalStats) 
 	}()
 
 	x := &seeder{s: s, bs: bs, d: d, t: t, tr: newObjTranslator(s, bs, d, t.dirty), st: st}
-	x.frozen = make([]bool, 0, len(bs.nodes))
-	x.nodeMap = make([]int, len(bs.nodes))
+	x.frozen = make([]bool, 0, bs.nodes.len())
+	x.nodeMap = make([]int, bs.nodes.len())
 	for i := range x.nodeMap {
 		x.nodeMap[i] = -1
 	}
@@ -518,8 +518,8 @@ func seedSolver(s, bs *solver, d *delta.Diff, t *tainter, st *IncrementalStats) 
 	}
 	if meter != nil {
 		words := 0
-		for i := range s.nodes {
-			words += s.nodes[i].pts.Words()
+		for id := range s.nodes.len() {
+			words += s.nodes.at(id).pts.Words()
 		}
 		if err := meter.AddWords(int64(words)); err != nil {
 			return err
@@ -628,7 +628,7 @@ func (x *seeder) seedNode(baseID int, counter *int, mk func() int) error {
 	if x.t.tainted[baseID] {
 		return nil
 	}
-	src := &x.bs.nodes[baseID].pts
+	src := &x.bs.nodes.at(baseID).pts
 	ok := true
 	x.buf = x.buf[:0]
 	src.ForEach(func(b int) bool {
@@ -647,7 +647,7 @@ func (x *seeder) seedNode(baseID int, counter *int, mk func() int) error {
 	nid := mk()
 	x.markFrozen(nid)
 	x.nodeMap[baseID] = nid
-	n := &x.s.nodes[nid] // after mk(): it may grow s.nodes
+	n := x.s.nodes.at(nid)
 	added := int64(0)
 	for _, b := range x.buf {
 		if n.pts.Add(b) {
@@ -711,13 +711,13 @@ func (x *seeder) copyEdges() bool {
 		s.stats.Edges += edges
 		s.stats.CopyEdges += copyEdges
 	}()
-	for id := range bs.nodes {
-		succ := bs.nodes[id].succ
+	for id := range bs.nodes.len() {
+		succ := bs.nodes.at(id).succ
 		if len(succ) == 0 {
 			continue
 		}
 		nid := x.nodeMap[id]
-		n := &s.nodes[nid]
+		n := s.nodes.at(nid)
 		for _, e := range succ {
 			filter := e.filter
 			if filter != 0 {
@@ -833,7 +833,7 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 		}
 		s.replayBase(base, func(obj int) {
 			if f := s.fieldNode(obj, st.field); !x.isFrozen(f) {
-				s.addPts(f, &s.nodes[st.node].pts)
+				s.addPts(f, &s.nodes.at(int(st.node)).pts)
 			}
 		})
 
@@ -854,7 +854,8 @@ func (x *seeder) installStmt(ctx *Context, m *lang.Method, bst, st lang.Stmt) {
 			return // the retained call edge is translated in translateCalls
 		}
 		base := s.varNode(ctx, stmt.Base)
-		s.nodes[base].info.invokes = append(s.nodes[base].info.invokes, stmt)
+		info := s.nodes.at(base).info
+		info.invokes = append(info.invokes, stmt)
 		if binv, ok := bst.(*lang.Invoke); ok && x.isFrozen(base) && !x.needsDispatch(binv) {
 			return // call edges are translated in translateCalls
 		}

@@ -34,8 +34,13 @@ import (
 // pre-analysis and every object the heap model marks context-
 // insensitive, which is where the solver spends most of its lookups.
 // Non-empty contexts, which are sparse over the (context, ID) product,
-// are keyed by one packed integer, packKey(ctx, id), in a map. See
-// DESIGN.md §5c.
+// are keyed by one packed integer, packKey(ctx, id), in a map. Variables
+// are the exception: each (context, method) pair the solver analyzes
+// gets a dense frame row by Var.Index as its csReach entry, so one map
+// entry serves all of the method's variables.
+//
+// The nodes themselves live in the pages of a nodeTable (solver.go),
+// which never move. See DESIGN.md §5c.
 
 // packKey packs a context's dense ID and another dense ID into one map
 // key for the non-empty-context tables.
@@ -56,8 +61,25 @@ type varTable struct {
 	// older ones chain through varInfo.nextCS. Nil until the first
 	// non-empty-context variable.
 	csHead []int32
-	// cs maps packKey(ctx, slot) to the node id for non-empty contexts.
-	cs map[uint64]int32
+	// chunk is the unused tail of the block that frame rows are cut from.
+	chunk []int32
+}
+
+// frameChunk is the size of the blocks frame rows are cut from.
+const frameChunk = 4096
+
+// newFrame returns an empty frame row for method m: the node id + 1 of
+// each of its variables under one non-empty context, by Var.Index (0:
+// none). solver.csReach holds the row of each analyzed (context,
+// method) pair.
+func (t *varTable) newFrame(m *lang.Method) []int32 {
+	n := int(t.base[m.ID+1] - t.base[m.ID])
+	if n > len(t.chunk) {
+		t.chunk = make([]int32, max(n, frameChunk))
+	}
+	row := t.chunk[:n:n]
+	t.chunk = t.chunk[n:]
+	return row
 }
 
 func newVarTable(prog *lang.Program) varTable {
@@ -71,7 +93,7 @@ func newVarTable(prog *lang.Program) varTable {
 		}
 	}
 	base[len(prog.Methods)] = int32(n)
-	return varTable{base: base, empty: make([]int32, n), cs: make(map[uint64]int32)}
+	return varTable{base: base, empty: make([]int32, n)}
 }
 
 // slot returns v's slot, or -1 when v is not a variable of the solved
@@ -97,19 +119,22 @@ func (s *solver) varNode(ctx *Context, v *lang.Var) int {
 		if id := s.vars.empty[sl]; id != 0 {
 			return int(id - 1)
 		}
-		id := s.newNode(nVar, &varInfo{ctx: ctx, v: v, nextCS: -1})
+		id := s.nodes.add(nVar, &varInfo{ctx: ctx, v: v, nextCS: -1})
 		s.vars.empty[sl] = int32(id + 1)
 		return id
 	}
-	k := packKey(ctx, sl)
-	if id, ok := s.vars.cs[k]; ok {
-		return int(id)
+	row, ok := s.csReach[packKey(ctx, v.Method.ID)]
+	if !ok {
+		panic(fmt.Sprintf("pta: variable %s used under context %s before its method was analyzed there", v, ctx))
+	}
+	if id := row[v.Index]; id != 0 {
+		return int(id - 1)
 	}
 	if s.vars.csHead == nil {
 		s.vars.csHead = make([]int32, len(s.vars.empty))
 	}
-	id := s.newNode(nVar, &varInfo{ctx: ctx, v: v, nextCS: s.vars.csHead[sl] - 1})
-	s.vars.cs[k] = int32(id)
+	id := s.nodes.add(nVar, &varInfo{ctx: ctx, v: v, nextCS: s.vars.csHead[sl] - 1})
+	row[v.Index] = int32(id + 1)
 	s.vars.csHead[sl] = int32(id + 1)
 	return id
 }
@@ -124,8 +149,12 @@ func (s *solver) lookupVar(ctx *Context, v *lang.Var) (int, bool) {
 		id := s.vars.empty[sl]
 		return int(id - 1), id != 0
 	}
-	id, ok := s.vars.cs[packKey(ctx, sl)]
-	return int(id), ok
+	row, ok := s.csReach[packKey(ctx, v.Method.ID)]
+	if !ok {
+		return 0, false
+	}
+	id := row[v.Index]
+	return int(id - 1), id != 0
 }
 
 // forEachVarNode calls fn with every context variant of v's node.
@@ -142,7 +171,7 @@ func (s *solver) forEachSlotNode(sl int, fn func(id int)) {
 	if s.vars.csHead == nil {
 		return
 	}
-	for id := s.vars.csHead[sl] - 1; id >= 0; id = s.nodes[id].info.nextCS {
+	for id := s.vars.csHead[sl] - 1; id >= 0; id = s.nodes.at(int(id)).info.nextCS {
 		fn(int(id))
 	}
 }
@@ -151,7 +180,7 @@ func (s *solver) forEachSlotNode(sl int, fn func(id int)) {
 // its nodes, in slot order.
 func (s *solver) forEachVar(fn func(v *lang.Var, id int)) {
 	for sl := range s.vars.empty {
-		s.forEachSlotNode(sl, func(id int) { fn(s.nodes[id].info.v, id) })
+		s.forEachSlotNode(sl, func(id int) { fn(s.nodes.at(id).info.v, id) })
 	}
 }
 
@@ -212,7 +241,7 @@ func (s *solver) fieldNode(obj int, f *lang.Field) int {
 	if id := row[sl]; id != 0 {
 		return int(id - 1)
 	}
-	id := s.newNode(nInstField, nil)
+	id := s.nodes.add(nInstField, nil)
 	row[sl] = int32(id + 1)
 	return id
 }
@@ -224,7 +253,7 @@ func (s *solver) oddFieldNode(obj int, f *lang.Field) int {
 	if id, ok := s.oddFields[k]; ok {
 		return int(id)
 	}
-	id := s.newNode(nInstField, nil)
+	id := s.nodes.add(nInstField, nil)
 	s.oddFields[k] = int32(id)
 	return id
 }
@@ -344,7 +373,7 @@ func (s *solver) staticNode(f *lang.Field) int {
 	if id := s.staticNodes[f.ID]; id != 0 {
 		return int(id - 1)
 	}
-	id := s.newNode(nStaticField, nil)
+	id := s.nodes.add(nStaticField, nil)
 	s.staticNodes[f.ID] = int32(id + 1)
 	return id
 }
@@ -389,6 +418,9 @@ func (s *solver) recordCSObj(ctx *Context, o *Obj, id int) {
 
 // markReachable records (ctx, m) as analyzed; false when it already was.
 func (s *solver) markReachable(ctx *Context, m *lang.Method) bool {
+	if m.IsAbstract {
+		panic(fmt.Sprintf("pta: abstract method %s became reachable", m))
+	}
 	if ctx == s.emptyHeap {
 		if s.emptyReach[m.ID] {
 			return false
@@ -399,10 +431,7 @@ func (s *solver) markReachable(ctx *Context, m *lang.Method) bool {
 		if _, ok := s.csReach[k]; ok {
 			return false
 		}
-		s.csReach[k] = struct{}{}
-	}
-	if m.IsAbstract {
-		panic(fmt.Sprintf("pta: abstract method %s became reachable", m))
+		s.csReach[k] = s.vars.newFrame(m)
 	}
 	s.reachList = append(s.reachList, csMethodKey{ctx, m})
 	if !s.reached[m.ID] {

@@ -20,7 +20,7 @@ func (r *Result) Objs() []*Obj { return r.solver.opts.Heap.Objs() }
 func (r *Result) NumCSObjs() int { return len(r.solver.csobjs) }
 
 // NumNodes returns the number of pointer nodes in the flow graph.
-func (r *Result) NumNodes() int { return len(r.solver.nodes) }
+func (r *Result) NumNodes() int { return r.solver.nodes.len() }
 
 // NumReachableMethods returns context-insensitively distinct reachable methods.
 func (r *Result) NumReachableMethods() int { return r.solver.numReached }
@@ -38,7 +38,7 @@ func (r *Result) ReachableMethod(m *lang.Method) bool {
 // CSObj IDs.
 func (r *Result) VarPointsTo(v *lang.Var) *bitset.Set {
 	out := bitset.New(0)
-	r.solver.forEachVarNode(v, func(id int) { out.Union(&r.solver.nodes[id].pts) })
+	r.solver.forEachVarNode(v, func(id int) { out.Union(&r.solver.nodes.at(id).pts) })
 	return out
 }
 
@@ -68,7 +68,7 @@ func (r *Result) VarObjs(v *lang.Var) []*Obj {
 // must be idempotent.
 func (r *Result) ForEachVarObj(fn func(v *lang.Var, o *Obj)) {
 	r.solver.forEachVar(func(v *lang.Var, id int) {
-		r.solver.nodes[id].pts.ForEach(func(i int) bool {
+		r.solver.nodes.at(id).pts.ForEach(func(i int) bool {
 			fn(v, r.solver.csobjs[i].Obj)
 			return true
 		})
@@ -157,7 +157,7 @@ func (r *Result) WalkFieldPointsTo(fn func(base *Obj, field *lang.Field, targets
 			stamp++
 			targets = targets[:0]
 			for ; i < len(fields) && fields[i].f == f; i++ {
-				s.nodes[fields[i].id].pts.ForEach(func(b int) bool {
+				s.nodes.at(fields[i].id).pts.ForEach(func(b int) bool {
 					t := s.csobjs[b].Obj
 					if seen[t.ID] != stamp {
 						seen[t.ID] = stamp
@@ -240,7 +240,7 @@ func (r *Result) ReachableCasts() []ReachableCast {
 			byStmt[cs.stmt] = set
 			order = append(order, cs.stmt)
 		}
-		r.solver.nodes[cs.rhsNode].pts.ForEach(func(i int) bool {
+		r.solver.nodes.at(cs.rhsNode).pts.ForEach(func(i int) bool {
 			set[r.solver.csobjs[i].Obj] = true
 			return true
 		})

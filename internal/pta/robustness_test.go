@@ -61,8 +61,8 @@ func TestMeterWordsCountGrownWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for i := range res.solver.nodes {
-		want += res.solver.nodes[i].pts.Words()
+	for id := range res.solver.nodes.len() {
+		want += res.solver.nodes.at(id).pts.Words()
 	}
 	if _, words, _ := meter.Usage(); words != int64(want) || want == 0 {
 		t.Fatalf("meter words %d, points-to sets hold %d words", words, want)

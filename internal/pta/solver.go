@@ -104,11 +104,10 @@ func classFilter(c *lang.Class) int32 {
 // in addEdge.
 const dupEdgeThreshold = 8
 
-// node is one pointer in the pointer-flow graph. Nodes are stored by
-// value in solver.nodes to avoid a pointer dereference per propagation
-// step; take fresh references after any call that may append a node.
-// A node's copy-target index lives in a side table by node ID
-// (solver.copyIdxOf).
+// node is one pointer in the pointer-flow graph. Nodes live by value in
+// the pages of solver.nodes, which never move, so a *node stays valid
+// while the solver creates more nodes. A node's copy-target index lives
+// in a side table by node ID (solver.copyIdxOf).
 type node struct {
 	kind nodeKind
 	pts  bitset.Set
@@ -119,6 +118,44 @@ type node struct {
 	// jobs, which pop a node and read its payload together, measurably
 	// slower (DESIGN.md §5c).
 	info *varInfo
+
+	// pending is the part of pts not yet propagated. A node is on the
+	// worklist exactly when pending is non-nil.
+	pending *bitset.Set
+}
+
+// nodePageShift sets the node table's page size: 1024 nodes, 80 KB.
+const (
+	nodePageShift = 10
+	nodePageSize  = 1 << nodePageShift
+)
+
+type nodePage [nodePageSize]node
+
+// nodeTable holds the solver's nodes by ID in fixed-size pages. Growth
+// appends a page and never copies a node.
+type nodeTable struct {
+	pages []*nodePage
+	n     int
+}
+
+func (t *nodeTable) len() int { return t.n }
+
+// at returns node id; the pointer stays valid for the table's lifetime.
+func (t *nodeTable) at(id int) *node {
+	return &t.pages[id>>nodePageShift][id&(nodePageSize-1)]
+}
+
+// add appends a node and returns its ID.
+func (t *nodeTable) add(kind nodeKind, info *varInfo) int {
+	id := t.n
+	if id&(nodePageSize-1) == 0 {
+		t.pages = append(t.pages, new(nodePage))
+	}
+	n := t.at(id)
+	n.kind, n.info = kind, info
+	t.n++
+	return id
 }
 
 // siteKind tags a fieldSite.
@@ -193,7 +230,7 @@ type solver struct {
 	opts Options
 	ctxt *ContextTable
 
-	nodes []node
+	nodes nodeTable
 	// copyIdxOf holds, by node ID, 1 + the position in copyIdxs of the
 	// node's copy-target index (0: none; entries past its length are 0).
 	// A node gets an index once its successor list outgrows
@@ -214,9 +251,9 @@ type solver struct {
 	emptyObjs []int32          // by Obj.ID: empty-heap-context CSObj ID + 1
 	csObjIdx  map[uint64]int32 // packKey(heap context, Obj.ID) → CSObj ID
 
-	emptyReach []bool              // by Method.ID: analyzed under the empty context
-	csReach    map[uint64]struct{} // packKey(ctx, Method.ID) for non-empty contexts
-	reached    []bool              // by Method.ID: analyzed under some context
+	emptyReach []bool             // by Method.ID: analyzed under the empty context
+	csReach    map[uint64][]int32 // packKey(ctx, Method.ID) → the pair's frame row (see varTable.newFrame), for non-empty contexts
+	reached    []bool             // by Method.ID: analyzed under some context
 	numReached int
 	reachList  []csMethodKey
 	sites      []callSite             // by Invoke.ID
@@ -230,8 +267,6 @@ type solver struct {
 	meterErr   error           // the exhaustion error behind errMeterSentinel
 
 	worklist intRing
-	queued   []bool
-	pending  []*bitset.Set
 	freeSets []*bitset.Set // cleared delta sets, reused by grabSet
 
 	masks   []*classMask // by filter class ID; nil until the class first filters
@@ -302,27 +337,7 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 	if opts.Selector == nil {
 		opts.Selector = CI{}
 	}
-	s := &solver{
-		prog:       prog,
-		opts:       opts,
-		ctxt:       NewContextTable(),
-		vars:       newVarTable(prog),
-		fieldSlot:  newFieldSlots(prog),
-		oddFields:  make(map[fieldKey]int32),
-		csObjIdx:   make(map[uint64]int32),
-		emptyReach: make([]bool, len(prog.Methods)),
-		csReach:    make(map[uint64]struct{}),
-		reached:    make([]bool, len(prog.Methods)),
-		csCalls:    make(map[csCallKey]struct{}),
-		sites:      make([]callSite, prog.NumInvokes()),
-	}
-	s.emptyHeap = s.ctxt.Empty()
-	// Size the node tables for one node per program variable, about what
-	// a context-insensitive solve creates: each regrowth copies and
-	// rescans the pointer-heavy nodes.
-	s.nodes = make([]node, 0, len(s.vars.empty))
-	s.queued = make([]bool, 0, len(s.vars.empty))
-	s.pending = make([]*bitset.Set, 0, len(s.vars.empty))
+	s := newSolver(prog, opts)
 	s.span = sp
 	// Poll the context only when it can actually fire. A nil Done channel
 	// means the context can never be cancelled and carries no deadline —
@@ -351,13 +366,6 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 	}
 	aborted, cancelled, exhausted := s.run()
 	s.recordSpan(sp)
-	// A finished solver only answers queries and seeds warm starts, which
-	// read its graph and sets; dropping the propagation scratch shrinks
-	// every Result a cache or job store keeps.
-	s.pending, s.queued, s.freeSets = nil, nil, nil
-	s.copyIdxOf, s.copyIdxs = nil, nil
-	s.worklist.buf = nil
-	s.scratch = bitset.Set{}
 	if cancelled {
 		return nil, fmt.Errorf("pta: analysis interrupted after %d work units: %w", s.work, ctx.Err())
 	}
@@ -374,6 +382,27 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 	}, nil
 }
 
+// newSolver returns a solver for prog with empty tables; opts must have
+// its Heap and Selector set.
+func newSolver(prog *lang.Program, opts Options) *solver {
+	s := &solver{
+		prog:       prog,
+		opts:       opts,
+		ctxt:       NewContextTable(),
+		vars:       newVarTable(prog),
+		fieldSlot:  newFieldSlots(prog),
+		oddFields:  make(map[fieldKey]int32),
+		csObjIdx:   make(map[uint64]int32),
+		emptyReach: make([]bool, len(prog.Methods)),
+		csReach:    make(map[uint64][]int32),
+		reached:    make([]bool, len(prog.Methods)),
+		csCalls:    make(map[csCallKey]struct{}),
+		sites:      make([]callSite, prog.NumInvokes()),
+	}
+	s.emptyHeap = s.ctxt.Empty()
+	return s
+}
+
 // recordSpan mirrors the run's Stats onto the solve span so the
 // span-accounting tests can cross-check trace counters against
 // Result.Stats and Report.Solver. Called on every non-panicking exit
@@ -381,7 +410,7 @@ func SolveContext(ctx context.Context, prog *lang.Program, opts Options) (res *R
 // are still meaningful.
 func (s *solver) recordSpan(sp trace.Span) {
 	st := s.stats
-	sp.Add("nodes", int64(len(s.nodes)))
+	sp.Add("nodes", int64(s.nodes.len()))
 	sp.Add("edges", int64(st.Edges))
 	sp.Add("copy_edges", int64(st.CopyEdges))
 	sp.Add("propagated_bits", st.PropagatedBits)
@@ -391,9 +420,10 @@ func (s *solver) recordSpan(sp trace.Span) {
 	sp.Add("work", s.work)
 }
 
-// run executes the worklist loop; aborted reports a legacy work-budget
-// overrun, cancelled a context cancellation, exhausted a resource-meter
-// overrun (the error itself is in s.meterErr).
+// run executes the worklist loop and then drops the propagation
+// scratch; aborted reports a legacy work-budget overrun, cancelled a
+// context cancellation, exhausted a resource-meter overrun (the error
+// itself is in s.meterErr).
 func (s *solver) run() (aborted, cancelled, exhausted bool) {
 	defer func() {
 		// chargeWork/chargeWords unwind deep processing chains via panic
@@ -411,6 +441,7 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		default:
 			panic(r)
 		}
+		s.dropScratch()
 	}()
 	s.makeReachable(s.ctxt.Empty(), s.prog.Entry)
 	for {
@@ -418,30 +449,47 @@ func (s *solver) run() (aborted, cancelled, exhausted bool) {
 		if !ok {
 			break
 		}
-		s.queued[id] = false
-		delta := s.pending[id]
-		s.pending[id] = nil
-		if delta == nil || delta.IsEmpty() {
-			s.releaseSet(delta)
-			continue
-		}
-		s.chargeWork(int64(delta.Len()))
-		s.stats.PropagatedBits += int64(delta.Len())
-		// Do not hold a *node across the calls below: processing may
-		// append to s.nodes and invalidate interior pointers. Edges
-		// appended to succ mid-loop are fine to miss — addEdge replays
-		// the full points-to set (delta included) across new edges, as
-		// applyStore does into the field nodes of a new store site.
-		succ := s.nodes[id].succ
-		for _, e := range succ {
-			s.addPts(int(e.to), s.filtered(delta, e.filter))
-		}
-		if info := s.nodes[id].info; info != nil {
-			s.processVarDelta(info, delta)
-		}
-		s.releaseSet(delta)
+		s.propagate(s.nodes.at(id))
 	}
 	return false, false, false
+}
+
+// propagate pushes a popped node's pending delta along its edges and
+// through its variable's sites. Edges appended to succ mid-loop are fine
+// to miss: addEdge replays the full points-to set (delta included)
+// across new edges, as applyStore does into the field nodes of a new
+// store site.
+func (s *solver) propagate(n *node) {
+	delta := n.pending
+	n.pending = nil
+	s.chargeWork(int64(delta.Len()))
+	s.stats.PropagatedBits += int64(delta.Len())
+	for _, e := range n.succ {
+		s.addPts(int(e.to), s.filtered(delta, e.filter))
+	}
+	if n.info != nil {
+		s.processVarDelta(n.info, delta)
+	}
+	s.releaseSet(delta)
+}
+
+// dropScratch releases what only propagation needs. A finished solver
+// only answers queries and seeds warm starts, which read its graph and
+// sets; dropping the scratch shrinks every Result a cache or job store
+// keeps. An aborted run leaves nodes on the worklist, and their
+// undrained deltas go with it.
+func (s *solver) dropScratch() {
+	for {
+		id, ok := s.worklist.pop()
+		if !ok {
+			break
+		}
+		s.nodes.at(id).pending = nil
+	}
+	s.worklist.buf = nil
+	s.freeSets = nil
+	s.copyIdxOf, s.copyIdxs = nil, nil
+	s.scratch = bitset.Set{}
 }
 
 var (
@@ -533,14 +581,6 @@ func (s *solver) filtered(delta *bitset.Set, f int32) *bitset.Set {
 	return bitset.IntersectInto(&s.scratch, delta, s.mask(f))
 }
 
-func (s *solver) newNode(kind nodeKind, info *varInfo) int {
-	id := len(s.nodes)
-	s.nodes = append(s.nodes, node{kind: kind, info: info})
-	s.queued = append(s.queued, false)
-	s.pending = append(s.pending, nil)
-	return id
-}
-
 // csObj interns the (heap context, object) pair; IDs are handed out in
 // interning order.
 func (s *solver) csObj(ctx *Context, o *Obj) int {
@@ -559,46 +599,39 @@ func (s *solver) addPts(id int, set *bitset.Set) {
 	if set == nil || set.IsEmpty() {
 		return
 	}
-	p := s.pending[id]
+	n := s.nodes.at(id)
+	p := n.pending
 	fresh := p == nil
 	if fresh {
 		p = s.grabSet()
 	}
-	wordsBefore := s.nodes[id].pts.Words()
-	if s.nodes[id].pts.UnionInto(set, p) == 0 {
+	wordsBefore := n.pts.Words()
+	if n.pts.UnionInto(set, p) == 0 {
 		if fresh {
 			s.releaseSet(p)
 		}
 		return
 	}
 	if fresh {
-		s.pending[id] = p
+		n.pending = p
+		s.worklist.push(id)
 	}
-	s.queue(id)
-	s.chargeWords(s.nodes[id].pts.Words() - wordsBefore)
+	s.chargeWords(n.pts.Words() - wordsBefore)
 }
 
 // addPtsOne adds a single object without building a one-bit set.
 func (s *solver) addPtsOne(id, obj int) {
-	wordsBefore := s.nodes[id].pts.Words()
-	if !s.nodes[id].pts.Add(obj) {
+	n := s.nodes.at(id)
+	wordsBefore := n.pts.Words()
+	if !n.pts.Add(obj) {
 		return
 	}
-	s.chargeWords(s.nodes[id].pts.Words() - wordsBefore)
-	p := s.pending[id]
-	if p == nil {
-		p = s.grabSet()
-		s.pending[id] = p
-	}
-	p.Add(obj)
-	s.queue(id)
-}
-
-func (s *solver) queue(id int) {
-	if !s.queued[id] {
-		s.queued[id] = true
+	s.chargeWords(n.pts.Words() - wordsBefore)
+	if n.pending == nil {
+		n.pending = s.grabSet()
 		s.worklist.push(id)
 	}
+	n.pending.Add(obj)
 }
 
 // addEdge inserts a flow edge and replays the source's current
@@ -617,7 +650,7 @@ func (s *solver) addEdgeIf(from, to int, filter int32, replay bool) {
 	if from == to && filter == 0 {
 		return
 	}
-	n := &s.nodes[from]
+	n := s.nodes.at(from)
 	e := edge{to: int32(to), filter: filter}
 	if k := s.copyIdxSlot(from); filter == 0 && k >= 0 {
 		idx := s.copyIdxs[k]
@@ -743,7 +776,7 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 			s.addCallEdge(ctx, stmt, calleeCtx, stmt.Callee, -1)
 		default: // virtual and special calls dispatch/bind per receiver object
 			base := s.varNode(ctx, stmt.Base)
-			info := s.nodes[base].info
+			info := s.nodes.at(base).info
 			info.invokes = append(info.invokes, stmt)
 			s.replayBase(base, func(obj int) { s.applyInvoke(ctx, obj, stmt) })
 		}
@@ -767,15 +800,16 @@ func (s *solver) processStmt(ctx *Context, m *lang.Method, st lang.Stmt) {
 // replayBase applies fn to every object already in base's points-to
 // set; future objects are handled by processVarDelta. It iterates a
 // snapshot taken into a pooled delta set: callbacks may grow the live
-// set through addPts (e.g. the self-load `x = x.f`) or append to
-// s.nodes, and bits added mid-replay reach fn later via the pending
-// delta instead of a mutating iteration.
+// set through addPts (e.g. the self-load `x = x.f`), and bits added
+// mid-replay reach fn later via the pending delta instead of a mutating
+// iteration.
 func (s *solver) replayBase(base int, fn func(obj int)) {
-	if s.nodes[base].pts.IsEmpty() {
+	pts := &s.nodes.at(base).pts
+	if pts.IsEmpty() {
 		return
 	}
 	snap := s.grabSet()
-	snap.Union(&s.nodes[base].pts)
+	snap.Union(pts)
 	snap.ForEach(func(i int) bool {
 		fn(i)
 		return true
@@ -786,7 +820,7 @@ func (s *solver) replayBase(base int, fn func(obj int)) {
 // addSite registers fs on var node id; false when an identical site is
 // already there (a repeated statement), which then needs no replay.
 func (s *solver) addSite(id int, fs fieldSite) bool {
-	info := s.nodes[id].info
+	info := s.nodes.at(id).info
 	if slices.Contains(info.sites, fs) {
 		return false
 	}
@@ -846,7 +880,7 @@ func (s *solver) applyLoad(obj int, ld fieldSite) {
 // right-hand side's later deltas arrive through its store-out.
 func (s *solver) applyStore(obj int, st fieldSite) {
 	f := s.fieldNode(obj, st.field)
-	s.addPts(f, &s.nodes[st.node].pts)
+	s.addPts(f, &s.nodes.at(int(st.node)).pts)
 }
 
 // storeOut carries a delta of a store's right-hand side into o.f for
@@ -854,8 +888,7 @@ func (s *solver) applyStore(obj int, st fieldSite) {
 // yet is skipped: o is then still in the base's pending delta, and the
 // applyStore that creates o.f unions the whole right-hand side.
 func (s *solver) storeOut(out fieldSite, delta *bitset.Set) {
-	base := s.nodes[out.node].pts
-	base.ForEach(func(obj int) bool {
+	s.nodes.at(int(out.node)).pts.ForEach(func(obj int) bool {
 		if f, ok := s.lookupField(obj, out.field); ok {
 			s.addPts(f, delta)
 		}

@@ -34,7 +34,7 @@ type Stats struct {
 // Stats returns the solver's performance counters for this run.
 func (r *Result) Stats() Stats {
 	st := r.solver.stats
-	st.Nodes = len(r.solver.nodes)
+	st.Nodes = r.solver.nodes.len()
 	st.WorklistPeak = r.solver.worklist.peak
 	return st
 }

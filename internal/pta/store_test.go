@@ -152,7 +152,7 @@ func TestStoreRepeatedRegisteredOnce(t *testing.T) {
 			t.Fatalf("no node for %s", name)
 		}
 		n := 0
-		for _, fs := range s.nodes[id].info.sites {
+		for _, fs := range s.nodes.at(id).info.sites {
 			if fs.kind == kind {
 				n++
 			}
@@ -363,13 +363,13 @@ func rhsTaintedStores(base *Result, d *delta.Diff) int {
 	tn := newTainter(base.solver, d)
 	tn.run()
 	n := 0
-	for id := range base.solver.nodes {
-		info := base.solver.nodes[id].info
+	for id := range base.solver.nodes.len() {
+		info := base.solver.nodes.at(id).info
 		if info == nil || !tn.tainted[id] {
 			continue
 		}
 		for _, fs := range info.sites {
-			if b := int(fs.node); fs.kind == siteStoreOut && !tn.tainted[b] && !base.solver.nodes[b].pts.IsEmpty() {
+			if b := int(fs.node); fs.kind == siteStoreOut && !tn.tainted[b] && !base.solver.nodes.at(b).pts.IsEmpty() {
 				n++
 			}
 		}
