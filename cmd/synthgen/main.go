@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"mahjong"
+	"mahjong/internal/parser"
 	"mahjong/internal/scenario"
 	"mahjong/internal/synth"
 )
@@ -59,8 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		} else {
 			prog = synth.RandomProgram(*seed)
 		}
-		fmt.Fprint(stdout, mahjong.PrintProgram(prog))
-		return nil
+		return parser.WriteProgram(stdout, prog)
 	case *search:
 		gens, err := scenario.GenerateCorpus(*seed, *scale)
 		if err != nil {
@@ -79,8 +79,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, mahjong.PrintProgram(prog))
-		return nil
+		return parser.WriteProgram(stdout, prog)
 	}
 	return fmt.Errorf("nothing to do: pass -benchmark, -list, -random or -search (available benchmarks: %v)", mahjong.BenchmarkNames())
 }

@@ -80,13 +80,18 @@ func TestRandomSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestBenchmarkDump keeps the original mode working.
+// TestBenchmarkDump keeps the original mode working: the streamed dump
+// of luindex reproduces the parser's checked-in golden byte for byte.
 func TestBenchmarkDump(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-benchmark", "luindex"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "entry ") {
-		t.Fatalf("dump has no entry line")
+	want, err := os.ReadFile("../../internal/parser/testdata/luindex.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("-benchmark=luindex: %d bytes differ from internal/parser/testdata/luindex.ir (%d bytes)", sb.Len(), len(want))
 	}
 }

@@ -38,13 +38,23 @@ import (
 // a class shape).
 type UnitHash [sha256.Size]byte
 
-// HashMethod content-hashes a method's canonical text (signature,
-// locals, statements). Abstract methods hash their signature line.
-func HashMethod(m *lang.Method) UnitHash { return sha256.Sum256([]byte(parser.MethodText(m))) }
+// hasher content-hashes canonical units (parser.MethodText and
+// parser.ClassShape) through one text buffer that it reuses from unit
+// to unit; Compute makes one per call.
+type hasher struct{ buf []byte }
 
-// HashClassShape content-hashes everything about a class except its
-// method bodies.
-func HashClassShape(c *lang.Class) UnitHash { return sha256.Sum256([]byte(parser.ClassShape(c))) }
+// method hashes m's signature, locals and statements; an abstract
+// method hashes its signature line.
+func (h *hasher) method(m *lang.Method) UnitHash {
+	h.buf = parser.AppendMethod(h.buf[:0], m)
+	return sha256.Sum256(h.buf)
+}
+
+// shape hashes everything about c except its method bodies.
+func (h *hasher) shape(c *lang.Class) UnitHash {
+	h.buf = parser.AppendClassShape(h.buf[:0], c)
+	return sha256.Sum256(h.buf)
+}
 
 // Options configures Compute.
 type Options struct {
@@ -144,6 +154,7 @@ func Compute(base, next *lang.Program, opts Options) (d *Diff, err error) {
 // translation maps and the changed-method set.
 func (d *Diff) compare() (bool, string) {
 	base, next := d.Base, d.Next
+	var h hasher
 
 	if base.Entry == nil || next.Entry == nil {
 		return false, "missing entry point"
@@ -178,7 +189,7 @@ func (d *Diff) compare() (bool, string) {
 		if nc == nil {
 			return false, fmt.Sprintf("class %s removed", bc.Name)
 		}
-		if HashClassShape(bc) != HashClassShape(nc) {
+		if h.shape(bc) != h.shape(nc) {
 			return false, fmt.Sprintf("class %s shape changed", bc.Name)
 		}
 	}
@@ -205,7 +216,7 @@ func (d *Diff) compare() (bool, string) {
 				continue
 			}
 			d.TotalMethods++
-			if HashMethod(bm) != HashMethod(nm) || !d.translateBody(bm, nm) {
+			if h.method(bm) != h.method(nm) || !d.translateBody(bm, nm) {
 				d.changed[bm] = true
 				d.Changed = append(d.Changed, bm)
 				if !d.translateGrown(bm, nm) {

@@ -1,10 +1,6 @@
 package parser
 
-import (
-	"strings"
-
-	"mahjong/internal/lang"
-)
+import "mahjong/internal/lang"
 
 // MethodText renders one method in the canonical textual form used by
 // Print: signature line, declared locals, then one line per statement.
@@ -12,10 +8,14 @@ import (
 // identical bodies (same locals in the same order, same statements,
 // same allocation-site sequence), which is what makes the text a sound
 // content-hash unit for incremental diffing (internal/delta).
-func MethodText(m *lang.Method) string {
-	var b strings.Builder
-	printMethod(&b, m)
-	return b.String()
+func MethodText(m *lang.Method) string { return string(AppendMethod(nil, m)) }
+
+// AppendMethod appends MethodText(m) to dst and returns the extended
+// buffer, so callers that hash many methods can reuse one buffer.
+func AppendMethod(dst []byte, m *lang.Method) []byte {
+	p := printer{buf: dst}
+	p.method(m)
+	return p.buf
 }
 
 // StmtText renders one statement in the canonical line form MethodText
@@ -23,63 +23,23 @@ func MethodText(m *lang.Method) string {
 // constraints up to the (name-preserving) renaming of their method's
 // variables and allocation sites — the property internal/delta's
 // grown-body matching relies on.
-func StmtText(st lang.Stmt) string { return stmtText(st) }
+func StmtText(st lang.Stmt) string {
+	var p printer
+	p.stmt(st)
+	return string(p.buf)
+}
 
 // ClassShape renders the merge-relevant shape of a class: kind, name,
 // super, interfaces, declared fields, and declared method signatures —
 // everything about the class except method bodies. Programs whose
 // classes all share shapes differ at most in method bodies, the
 // granularity at which internal/delta can solve incrementally.
-func ClassShape(c *lang.Class) string {
-	var b strings.Builder
-	if c.IsInterface {
-		b.WriteString("interface ")
-	} else {
-		b.WriteString("class ")
-	}
-	b.WriteString(c.Name)
-	if c.Super != nil {
-		b.WriteString(" extends ")
-		b.WriteString(c.Super.Name)
-	}
-	for _, it := range c.Interfaces {
-		b.WriteString(" implements ")
-		b.WriteString(it.Name)
-	}
-	b.WriteByte('\n')
-	for _, f := range c.DeclaredFields {
-		if f.IsStatic {
-			b.WriteString("  static")
-		}
-		b.WriteString("  field ")
-		b.WriteString(f.Name)
-		b.WriteString(": ")
-		b.WriteString(f.Type.Name)
-		b.WriteByte('\n')
-	}
-	for _, m := range c.DeclaredMethods {
-		if m.IsStatic {
-			b.WriteString("  static")
-		}
-		if m.IsAbstract {
-			b.WriteString("  abstract")
-		}
-		b.WriteString("  method ")
-		b.WriteString(m.Name)
-		b.WriteByte('(')
-		for i, pv := range m.Params {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(pv.Type.Name)
-		}
-		b.WriteString("): ")
-		if m.Ret != nil {
-			b.WriteString(m.Ret.Name)
-		} else {
-			b.WriteString("void")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+func ClassShape(c *lang.Class) string { return string(AppendClassShape(nil, c)) }
+
+// AppendClassShape appends ClassShape(c) to dst and returns the
+// extended buffer.
+func AppendClassShape(dst []byte, c *lang.Class) []byte {
+	p := printer{buf: dst}
+	p.shape(c)
+	return p.buf
 }

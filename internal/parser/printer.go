@@ -2,10 +2,18 @@ package parser
 
 import (
 	"fmt"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"mahjong/internal/lang"
 )
+
+// flushAt is the buffered text size at which a streaming printer hands
+// its buffer to the writer. Lines are short, so the buffer stays near
+// this size however large the program is.
+const flushAt = 4 << 10
 
 // Print renders a program in the textual IR format accepted by Parse.
 // Array classes are omitted (they are created on demand by the parser)
@@ -13,160 +21,233 @@ import (
 // Print(Parse(s)) is semantically idempotent; see the round-trip tests.
 func Print(p *lang.Program) string {
 	var b strings.Builder
+	WriteProgram(&b, p) // a strings.Builder never fails
+	return b.String()
+}
+
+// WriteProgram streams Print's text to w through one reused buffer, so
+// the whole text never exists at once. It returns the first write error.
+func WriteProgram(w io.Writer, p *lang.Program) error {
+	pr := printer{buf: make([]byte, 0, 2*flushAt), w: w}
 	for _, c := range p.Classes {
 		if c == p.Object() || c.IsArray() {
 			continue
 		}
-		printClass(&b, p, c)
-		b.WriteByte('\n')
+		pr.class(p, c)
+		pr.line()
 	}
-	if p.Entry != nil {
-		fmt.Fprintf(&b, "entry %s.%s/%d\n", p.Entry.Owner.Name, p.Entry.Name, len(p.Entry.Params))
+	if e := p.Entry; e != nil {
+		pr.str("entry ", e.Owner.Name, ".", e.Name, "/")
+		pr.line(strconv.Itoa(len(e.Params)))
 	}
-	return b.String()
+	pr.flush()
+	return pr.err
 }
 
-func typeName(c *lang.Class) string { return c.Name }
+// printer appends canonical IR text to buf. With a writer, it hands buf
+// to w at the end of every line that fills it to flushAt and keeps the
+// first write error; without one, the text accumulates in buf.
+type printer struct {
+	buf []byte
+	w   io.Writer
+	err error
+}
 
-func printClass(b *strings.Builder, p *lang.Program, c *lang.Class) {
+func (p *printer) str(ss ...string) {
+	for _, s := range ss {
+		p.buf = append(p.buf, s...)
+	}
+}
+
+// sep separates the items of a comma-separated list.
+func (p *printer) sep(i int) {
+	if i > 0 {
+		p.str(", ")
+	}
+}
+
+// line writes ss and ends the line, handing a full buffer to the writer.
+func (p *printer) line(ss ...string) {
+	p.str(ss...)
+	p.buf = append(p.buf, '\n')
+	if p.w != nil && len(p.buf) >= flushAt {
+		p.flush()
+	}
+}
+
+func (p *printer) flush() {
+	if p.err == nil {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+// ret closes a method's parameter list and writes its return type.
+func (p *printer) ret(m *lang.Method) {
+	p.str("): ")
+	if m.Ret == nil {
+		p.str("void")
+	} else {
+		p.str(m.Ret.Name)
+	}
+}
+
+func (p *printer) class(prog *lang.Program, c *lang.Class) {
 	if c.IsInterface {
-		fmt.Fprintf(b, "interface %s", c.Name)
+		p.str("interface ", c.Name)
 		if len(c.Interfaces) > 0 {
-			b.WriteString(" extends ")
-			writeNameList(b, c.Interfaces)
+			p.str(" extends ")
 		}
 	} else {
-		fmt.Fprintf(b, "class %s", c.Name)
-		if c.Super != nil && c.Super != p.Object() {
-			fmt.Fprintf(b, " extends %s", c.Super.Name)
+		p.str("class ", c.Name)
+		if c.Super != nil && c.Super != prog.Object() {
+			p.str(" extends ", c.Super.Name)
 		}
 		if len(c.Interfaces) > 0 {
-			b.WriteString(" implements ")
-			writeNameList(b, c.Interfaces)
+			p.str(" implements ")
 		}
 	}
-	b.WriteString(" {\n")
+	for i, it := range c.Interfaces {
+		p.sep(i)
+		p.str(it.Name)
+	}
+	p.line(" {")
 	for _, f := range c.DeclaredFields {
+		p.str("  ")
 		if f.IsStatic {
-			fmt.Fprintf(b, "  static field %s: %s\n", f.Name, typeName(f.Type))
-		} else {
-			fmt.Fprintf(b, "  field %s: %s\n", f.Name, typeName(f.Type))
+			p.str("static ")
 		}
+		p.line("field ", f.Name, ": ", f.Type.Name)
 	}
 	for _, m := range c.DeclaredMethods {
-		printMethod(b, m)
+		p.method(m)
 	}
-	b.WriteString("}\n")
+	p.line("}")
 }
 
-func writeNameList(b *strings.Builder, cs []*lang.Class) {
-	for i, c := range cs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-	}
-}
-
-func printMethod(b *strings.Builder, m *lang.Method) {
-	b.WriteString("  ")
+func (p *printer) method(m *lang.Method) {
+	p.str("  ")
 	if m.IsStatic {
-		b.WriteString("static ")
+		p.str("static ")
 	}
 	if m.IsAbstract && !m.Owner.IsInterface {
-		b.WriteString("abstract ")
+		p.str("abstract ")
 	}
-	fmt.Fprintf(b, "method %s(", m.Name)
+	p.str("method ", m.Name, "(")
 	for i, pv := range m.Params {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "%s: %s", pv.Name, typeName(pv.Type))
+		p.sep(i)
+		p.str(pv.Name, ": ", pv.Type.Name)
 	}
-	b.WriteString("): ")
-	if m.Ret == nil {
-		b.WriteString("void")
-	} else {
-		b.WriteString(typeName(m.Ret))
-	}
+	p.ret(m)
 	if m.IsAbstract {
-		b.WriteByte('\n')
+		p.line()
 		return
 	}
-	b.WriteString(" {\n")
-	declared := map[*lang.Var]bool{m.This: true, m.RetVar: true}
-	for _, pv := range m.Params {
-		declared[pv] = true
-	}
+	p.line(" {")
 	for _, v := range m.Locals {
-		if v.Name == "$exc" {
-			continue // synthetic; recreated on demand by throw/catch/calls
+		// $exc is synthetic; throw/catch/calls recreate it on demand.
+		if v.Name == "$exc" || v == m.This || v == m.RetVar || slices.Contains(m.Params, v) {
+			continue
 		}
-		if !declared[v] {
-			fmt.Fprintf(b, "    var %s: %s\n", v.Name, typeName(v.Type))
-		}
+		p.line("    var ", v.Name, ": ", v.Type.Name)
 	}
 	for _, st := range m.Stmts {
-		fmt.Fprintf(b, "    %s\n", stmtText(st))
+		p.str("    ")
+		p.stmt(st)
+		p.line()
 	}
-	b.WriteString("  }\n")
+	p.line("  }")
 }
 
-func stmtText(st lang.Stmt) string {
+func (p *printer) stmt(st lang.Stmt) {
 	switch s := st.(type) {
 	case *lang.Alloc:
-		return fmt.Sprintf("%s = new %s", s.LHS.Name, typeName(s.Site.Type))
+		p.str(s.LHS.Name, " = new ", s.Site.Type.Name)
 	case *lang.Copy:
-		return fmt.Sprintf("%s = %s", s.LHS.Name, s.RHS.Name)
+		p.str(s.LHS.Name, " = ", s.RHS.Name)
 	case *lang.Load:
 		if s.Field.Name == lang.ElemField {
-			return fmt.Sprintf("%s = %s[]", s.LHS.Name, s.Base.Name)
+			p.str(s.LHS.Name, " = ", s.Base.Name, "[]")
+		} else {
+			p.str(s.LHS.Name, " = ", s.Base.Name, ".", s.Field.Name)
 		}
-		return fmt.Sprintf("%s = %s.%s", s.LHS.Name, s.Base.Name, s.Field.Name)
 	case *lang.Store:
 		if s.Field.Name == lang.ElemField {
-			return fmt.Sprintf("%s[] = %s", s.Base.Name, s.RHS.Name)
+			p.str(s.Base.Name, "[] = ", s.RHS.Name)
+		} else {
+			p.str(s.Base.Name, ".", s.Field.Name, " = ", s.RHS.Name)
 		}
-		return fmt.Sprintf("%s.%s = %s", s.Base.Name, s.Field.Name, s.RHS.Name)
 	case *lang.StaticLoad:
-		return fmt.Sprintf("%s = %s.%s", s.LHS.Name, s.Field.Owner.Name, s.Field.Name)
+		p.str(s.LHS.Name, " = ", s.Field.Owner.Name, ".", s.Field.Name)
 	case *lang.StaticStore:
-		return fmt.Sprintf("%s.%s = %s", s.Field.Owner.Name, s.Field.Name, s.RHS.Name)
+		p.str(s.Field.Owner.Name, ".", s.Field.Name, " = ", s.RHS.Name)
 	case *lang.Cast:
-		return fmt.Sprintf("%s = (%s) %s", s.LHS.Name, typeName(s.Type), s.RHS.Name)
+		p.str(s.LHS.Name, " = (", s.Type.Name, ") ", s.RHS.Name)
 	case *lang.Invoke:
-		var b strings.Builder
 		if s.LHS != nil {
-			b.WriteString(s.LHS.Name)
-			b.WriteString(" = ")
+			p.str(s.LHS.Name, " = ")
 		}
 		switch s.Kind {
 		case lang.VirtualCall:
-			fmt.Fprintf(&b, "%s.%s", s.Base.Name, s.Callee.Name)
+			p.str(s.Base.Name, ".", s.Callee.Name)
 		case lang.StaticCall:
-			fmt.Fprintf(&b, "%s.%s", s.Callee.Owner.Name, s.Callee.Name)
+			p.str(s.Callee.Owner.Name, ".", s.Callee.Name)
 		case lang.SpecialCall:
-			fmt.Fprintf(&b, "special %s.%s.%s", s.Base.Name, s.Callee.Owner.Name, s.Callee.Name)
+			p.str("special ", s.Base.Name, ".", s.Callee.Owner.Name, ".", s.Callee.Name)
 		}
-		b.WriteByte('(')
+		p.str("(")
 		for i, a := range s.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.Name)
+			p.sep(i)
+			p.str(a.Name)
 		}
-		b.WriteByte(')')
-		return b.String()
+		p.str(")")
 	case *lang.Return:
-		if s.Value == nil {
-			return "return"
+		p.str("return")
+		if s.Value != nil {
+			p.str(" ", s.Value.Name)
 		}
-		return "return " + s.Value.Name
 	case *lang.Throw:
-		return "throw " + s.Value.Name
+		p.str("throw ", s.Value.Name)
 	case *lang.Catch:
-		return fmt.Sprintf("%s = catch %s", s.LHS.Name, typeName(s.Type))
+		p.str(s.LHS.Name, " = catch ", s.Type.Name)
 	default:
-		return fmt.Sprintf("// unknown stmt %T", st)
+		p.buf = fmt.Appendf(p.buf, "// unknown stmt %T", st)
+	}
+}
+
+// shape writes ClassShape's text.
+func (p *printer) shape(c *lang.Class) {
+	if c.IsInterface {
+		p.str("interface ", c.Name)
+	} else {
+		p.str("class ", c.Name)
+	}
+	if c.Super != nil {
+		p.str(" extends ", c.Super.Name)
+	}
+	for _, it := range c.Interfaces {
+		p.str(" implements ", it.Name)
+	}
+	p.line()
+	for _, f := range c.DeclaredFields {
+		if f.IsStatic {
+			p.str("  static")
+		}
+		p.line("  field ", f.Name, ": ", f.Type.Name)
+	}
+	for _, m := range c.DeclaredMethods {
+		if m.IsStatic {
+			p.str("  static")
+		}
+		if m.IsAbstract {
+			p.str("  abstract")
+		}
+		p.str("  method ", m.Name, "(")
+		for i, pv := range m.Params {
+			p.sep(i)
+			p.str(pv.Type.Name)
+		}
+		p.ret(m)
+		p.line()
 	}
 }

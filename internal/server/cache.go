@@ -6,15 +6,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+
+	"mahjong/internal/lang"
+	"mahjong/internal/parser"
 )
 
 // absCache is the abstraction cache: it maps the content hash of a
-// program's canonical IR to the persisted form of its Mahjong
-// abstraction (the core Save/LoadMOM JSON). The persisted form — not
-// the in-memory Abstraction — is what must be cached, because a MOM is
-// keyed by *lang.AllocSite pointers of one particular Program value; a
-// later submission of identical IR parses a fresh Program and rebinds
-// the classes by stable site label via LoadAbstraction.
+// program's canonical IR, which cacheKey streams into SHA-256 without
+// building the text, to the persisted form of its Mahjong abstraction
+// (the core Save/LoadMOM JSON). The persisted form — not the in-memory
+// Abstraction — is what must be cached, because a MOM is keyed by
+// *lang.AllocSite pointers of one particular Program value; a later
+// submission of identical IR parses a fresh Program and rebinds the
+// classes by stable site label via LoadAbstraction.
 //
 // Fills are single-flight: concurrent requests for the same key wait
 // for the first filler instead of building the same abstraction twice,
@@ -43,10 +47,13 @@ func newAbsCache(capacity int) *absCache {
 	}
 }
 
-// cacheKey returns the cache key for a program's canonical IR text.
-func cacheKey(canonicalIR string) string {
-	sum := sha256.Sum256([]byte(canonicalIR))
-	return hex.EncodeToString(sum[:])
+// cacheKey returns the cache key for a program: the hex SHA-256 of its
+// canonical IR text (parser.Print), streamed into the hash so the text
+// is never built.
+func cacheKey(p *lang.Program) string {
+	h := sha256.New()
+	_ = parser.WriteProgram(h, p) // hash.Hash's Write never returns an error
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // len returns the number of cached (or in-flight) entries.

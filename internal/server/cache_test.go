@@ -2,12 +2,32 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mahjong/internal/parser"
+	"mahjong/internal/synth"
 )
+
+// TestCacheKeyHashesPrint pins the key to the hex SHA-256 of exactly
+// the text parser.Print returns, on every subject.
+func TestCacheKeyHashesPrint(t *testing.T) {
+	for _, profile := range synth.Profiles() {
+		prog, err := synth.Generate(profile)
+		if err != nil {
+			t.Fatalf("%s: %v", profile.Name, err)
+		}
+		sum := sha256.Sum256([]byte(parser.Print(prog)))
+		if got, want := cacheKey(prog), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: cacheKey = %s, want %s", profile.Name, got, want)
+		}
+	}
+}
 
 func TestCacheSingleFlight(t *testing.T) {
 	c := newAbsCache(8)

@@ -840,7 +840,7 @@ func (s *Server) markDegraded(j *job, cause error) {
 // shape change, injected delta faults) only cost the warm start, with
 // the reason recorded on the job.
 func (s *Server) abstractionFor(ctx context.Context, j *job, prog *mahjong.Program, resources mahjong.ResourceBudget, tc trace.Ctx) (*mahjong.Abstraction, bool, error) {
-	key := cacheKey(mahjong.PrintProgram(prog))
+	key := cacheKey(prog)
 	for attempt := 0; ; attempt++ {
 		var built *mahjong.Abstraction
 		data, hit, err := s.cache.getOrFill(ctx, key, func() ([]byte, error) {

@@ -328,6 +328,39 @@ func TestAbstractionCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIsCanonical: the cache is keyed by the canonical text,
+// not the submitted bytes. The same program with extra blank lines,
+// comments and different spacing is a hit; one changed statement is a
+// miss.
+func TestCacheKeyIsCanonical(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	reformatted := strings.NewReplacer(
+		"class A {", "// the base class\n\nclass   A {",
+		"    x = new A\n", "\tx=new A   // first site\n\n",
+		"w.foo()", "w.foo( )",
+		"entry Main.main/0", "entry Main.main/0 // entry point",
+	).Replace(testIR)
+	edited := strings.Replace(testIR, "y = new B", "y = new C", 1)
+	if reformatted == testIR || edited == testIR {
+		t.Fatal("test programs equal the original text")
+	}
+
+	for i, c := range []struct {
+		ir      string
+		wantHit bool
+	}{{testIR, false}, {reformatted, true}, {edited, false}} {
+		v := waitJob(t, ts, submit(t, ts, JobSpec{IR: c.ir}))
+		if v.State != StateDone || v.CacheHit != c.wantHit {
+			t.Fatalf("submission %d: state %s (error %q) cacheHit %v, want done/%v", i, v.State, v.Error, v.CacheHit, c.wantHit)
+		}
+	}
+	var snap MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics?format=json", &snap)
+	if snap.CacheMisses != 2 || snap.CacheHits != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/2", snap.CacheHits, snap.CacheMisses)
+	}
+}
+
 // TestConcurrentSameBenchmark is the acceptance scenario: two parallel
 // submissions of the same benchmark complete, exactly one builds the
 // abstraction, and the other reports a cache hit in /metrics.
